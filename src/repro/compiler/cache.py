@@ -30,6 +30,7 @@ addressed, not identity-addressed.  A strategy without a cache key
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -88,17 +89,35 @@ def _retry_key(policy: Optional[RetryPolicy]) -> str:
     return "none" if policy is None else repr(policy)
 
 
+#: Per-task memo of ``(content key, repr(content key))``.  A task's key
+#: never changes: :class:`~repro.sim.cluster.ClusterSpec` is a frozen
+#: dataclass, :class:`~repro.core.spec.ShardingSpec` refuses attribute
+#: writes, and ``ReshardingTask``, ``DeviceMesh`` and ``Cluster`` assign
+#: the fields read here only in their constructors.  Weak keys, so the
+#: memo never keeps a task alive.
+_TASK_KEYS: "weakref.WeakKeyDictionary[ReshardingTask, tuple[tuple[object, ...], str]]"
+_TASK_KEYS = weakref.WeakKeyDictionary()
+
+
+def _task_key(task: "ReshardingTask") -> tuple[tuple[object, ...], str]:
+    found = _TASK_KEYS.get(task)
+    if found is None:
+        key = (
+            task.shape,
+            task.dtype.str,
+            str(task.src_spec),
+            str(task.dst_spec),
+            task.src_mesh.grid,
+            task.dst_mesh.grid,
+            _cluster_key(task.cluster.spec),
+        )
+        found = _TASK_KEYS[task] = (key, repr(key))
+    return found
+
+
 def task_signature(task: "ReshardingTask") -> tuple[object, ...]:
     """Canonical content key of one resharding task (no strategy/faults)."""
-    return (
-        task.shape,
-        task.dtype.str,
-        str(task.src_spec),
-        str(task.dst_spec),
-        task.src_mesh.grid,
-        task.dst_mesh.grid,
-        _cluster_key(task.cluster.spec),
-    )
+    return _task_key(task)[0]
 
 
 def plan_signature(
@@ -108,20 +127,20 @@ def plan_signature(
     retry_policy: Optional[RetryPolicy] = None,
     epoch: int = 0,
 ) -> str:
-    """SHA-256 over the canonical signature of one compile request."""
-    h = hashlib.sha256()
-    h.update(
-        repr(
-            (
-                task_signature(task),
-                strategy_key,
-                _faults_key(faults),
-                _retry_key(retry_policy),
-                epoch,
-            )
-        ).encode()
+    """SHA-256 over the canonical signature of one compile request.
+
+    The hashed text is ``repr((task_signature(task), strategy_key,
+    faults key, retry key, epoch))``, spelled out so the task's part is
+    the memoized repr rather than rebuilt on every call.
+    """
+    text = "(%s, %r, %r, %r, %r)" % (
+        _task_key(task)[1],
+        strategy_key,
+        _faults_key(faults),
+        _retry_key(retry_policy),
+        epoch,
     )
-    return h.hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@
 boundary's forward/backward resharding through the plan compiler and
 hangs an :class:`EdgeResharding` on the :class:`~repro.pipeline.stage
 .CommEdge`.  The pipeline executor then prices every cross-stage message
-via :meth:`EdgeResharding.time` — one plan-cache request per message —
-so the per-micro-batch repetition of the same resharding is served from
-the content-addressed cache instead of recompiling, and the pipeline's
-comm latencies are, by construction, ``simulate_plan`` latencies of the
+via :meth:`EdgeResharding.time`.  Each direction's plan signature is
+built once per plan-cache epoch; every message after that is one
+``PlanCache.lookup`` of the remembered signature, so the per-micro-batch
+repetition of the same resharding is served from the content-addressed
+cache without recompiling or rehashing, and the pipeline's comm
+latencies are, by construction, ``simulate_plan`` latencies of the
 compiled plans (one shared timing path).
 """
 
@@ -17,7 +19,13 @@ from typing import Optional
 
 from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
-from .pipeline import CompileContext, CompiledPlan, compile_resharding
+from .pipeline import (
+    CacheSlot,
+    CompileContext,
+    CompiledPlan,
+    compile_in_slot,
+    compile_resharding,
+)
 
 __all__ = ["EdgeResharding"]
 
@@ -46,10 +54,19 @@ def _check_routable(task: ReshardingTask) -> None:
 class EdgeResharding:
     """Both directions of one cross-mesh stage edge, compiled on demand.
 
-    When the strategy is cacheable every call goes through
-    :func:`compile_resharding` (registering a cache request; repeats are
-    hits).  Uncacheable strategies fall back to a per-edge memo so the
-    executor still never compiles the same direction twice.
+    With a cacheable strategy each direction remembers the
+    :class:`~repro.compiler.pipeline.CacheSlot` (cache, epoch,
+    signature) of its last compile.  While the context's cache is the
+    same object at the same epoch, a message costs one counted
+    ``PlanCache.lookup`` of that signature through
+    :func:`~repro.compiler.pipeline.compile_in_slot`, the code behind
+    :func:`compile_resharding`; nothing else is skipped.  A swapped
+    cache or an :meth:`~repro.compiler.cache.PlanCache.invalidate`
+    leaves the slot stale, and the next message goes through
+    :func:`compile_resharding` again.  The context's other fields feed
+    the signature too and must not change over the edge's life.
+    Uncacheable strategies fall back to a per-edge memo so the executor
+    still never compiles the same direction twice.
     """
 
     def __init__(
@@ -62,6 +79,7 @@ class EdgeResharding:
         self.fwd_task = fwd_task
         self.bwd_task = bwd_task
         self.ctx = ctx if ctx is not None else CompileContext()
+        self._slots: dict[str, CacheSlot] = {}
         self._memo: dict[str, CompiledPlan] = {}
 
     def task(self, direction: str) -> ReshardingTask:
@@ -71,20 +89,25 @@ class EdgeResharding:
             return self.bwd_task
         raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
 
-    def _cacheable(self) -> bool:
-        return (
-            self.ctx.resolved_cache() is not None
-            and self.ctx.resolved_strategy().cache_key() is not None
-        )
-
     def compiled(self, direction: str) -> CompiledPlan:
         task = self.task(direction)
-        if self._cacheable():
-            return compile_resharding(task, self.ctx)
-        found = self._memo.get(direction)
-        if found is None:
-            found = self._memo[direction] = compile_resharding(task, self.ctx)
-        return found
+        cache = self.ctx.resolved_cache()
+        slot = self._slots.get(direction)
+        if slot is not None and slot.is_current(cache):
+            return compile_in_slot(task, self.ctx, slot)
+        if cache is None or self.ctx.resolved_strategy().cache_key() is None:
+            found = self._memo.get(direction)
+            if found is None:
+                found = self._memo[direction] = compile_resharding(task, self.ctx)
+            return found
+        epoch = cache.epoch
+        compiled = compile_resharding(task, self.ctx)
+        # Plans enter a PlanCache only through compile_in_slot, under
+        # their own signature: a hit or a fresh compile both name the
+        # slot this direction lives in, unless the epoch moved meanwhile.
+        if compiled.signature is not None and cache.epoch == epoch:
+            self._slots[direction] = CacheSlot(cache, epoch, compiled.signature)
+        return compiled
 
     def plan(self, direction: str) -> CommPlan:
         return self.compiled(direction).plan

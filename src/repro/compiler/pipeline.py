@@ -40,6 +40,8 @@ __all__ = [
     "PassManager",
     "CompileContext",
     "CompiledPlan",
+    "CacheSlot",
+    "compile_in_slot",
     "compile_resharding",
     "CompileTimeout",
     "USE_DEFAULT_CACHE",
@@ -246,10 +248,99 @@ class CompiledPlan:
         return verify_delivery(self.plan, timing=self.ensure_timing(), strict=strict)
 
 
+@dataclass(frozen=True)
+class CacheSlot:
+    """Where one cacheable compile request lives in a :class:`PlanCache`.
+
+    ``epoch`` is the cache epoch folded into ``signature``; the slot is
+    current only while the same cache object is still at that epoch.
+    """
+
+    cache: PlanCache
+    epoch: int
+    signature: str
+
+    def is_current(self, cache: Optional[PlanCache]) -> bool:
+        return self.cache is cache and self.cache.epoch == self.epoch
+
+
+def _cache_slot(
+    task: ReshardingTask,
+    ctx: CompileContext,
+    strategy: CommStrategy,
+    faults: Optional[FaultSchedule],
+    retry_policy: Optional[RetryPolicy],
+) -> Optional[CacheSlot]:
+    """The slot ``task`` compiles into under ``ctx``; None when uncacheable."""
+    cache = ctx.resolved_cache()
+    if cache is None:
+        return None
+    strategy_key = strategy.cache_key()
+    if strategy_key is None:
+        return None
+    # A context-level budget override shapes the compile (select
+    # feasibility, validation), so it must shape the signature — folded
+    # in only when set, keeping budget-free signatures byte-identical to
+    # before.
+    if ctx.memory_budget is not None:
+        strategy_key = strategy_key + (("memory_budget", ctx.memory_budget),)
+    epoch = cache.epoch
+    signature = plan_signature(task, strategy_key, faults, retry_policy, epoch=epoch)
+    return CacheSlot(cache, epoch, signature)
+
+
+def compile_in_slot(
+    task: ReshardingTask,
+    ctx: CompileContext,
+    slot: Optional[CacheSlot] = None,
+) -> CompiledPlan:
+    """Serve ``task`` from the plan cache, else compile (and store) it.
+
+    The body of :func:`compile_resharding`, which passes no ``slot``.
+    A caller holding the current :class:`CacheSlot` of an earlier
+    compile of the same task and context may pass it to skip rebuilding
+    the signature; the lookup (one counted cache request), validation
+    and the compile on a miss are the same code either way.
+    """
+    strategy = ctx.resolved_strategy()
+    faults = ctx.effective_faults(strategy)
+    retry_policy = ctx.effective_retry_policy(strategy)
+    if slot is None:
+        slot = _cache_slot(task, ctx, strategy, faults, retry_policy)
+    if slot is not None:
+        hit = slot.cache.lookup(slot.signature)
+        if hit is not None:
+            if ctx.validate:
+                hit.ensure_validated()
+            return hit
+
+    # The deadline bounds one compile: open a fresh ledger per call so a
+    # reused context never inherits spend from an earlier compile.
+    ctx.budget = (
+        CompileBudget.from_deadline(ctx.deadline) if ctx.deadline is not None else None
+    )
+    state = PlanState(task=task, strategy=strategy)
+    diagnostics = PassManager(ctx.passes).run(state, ctx)
+    assert state.plan is not None
+    compiled = CompiledPlan(
+        plan=state.plan,
+        signature=slot.signature if slot is not None else None,
+        diagnostics=diagnostics,
+        faults=faults,
+        retry_policy=retry_policy,
+        timing=state.timing,
+        validated=ctx.validate,
+        scores=list(state.scores),
+    )
+    if slot is not None:
+        slot.cache.store(slot.signature, compiled, epoch=slot.epoch)
+    return compiled
+
+
 def compile_resharding(
     task: ReshardingTask,
     ctx: Optional[CompileContext] = None,
-    **ctx_kwargs,
+    **ctx_kwargs: Any,
 ) -> CompiledPlan:
     """Compile ``task`` through the pass pipeline, cache-aware.
 
@@ -263,52 +354,4 @@ def compile_resharding(
         ctx = CompileContext(**ctx_kwargs)
     elif ctx_kwargs:
         raise ValueError("pass either a CompileContext or kwargs, not both")
-    strategy = ctx.resolved_strategy()
-    faults = ctx.effective_faults(strategy)
-    retry_policy = ctx.effective_retry_policy(strategy)
-
-    cache = ctx.resolved_cache()
-    signature: Optional[str] = None
-    epoch = 0
-    if cache is not None:
-        strategy_key = strategy.cache_key()
-        if strategy_key is not None:
-            # A context-level budget override shapes the compile (select
-            # feasibility, validation), so it must shape the signature —
-            # folded in only when set, keeping budget-free signatures
-            # byte-identical to before.
-            if ctx.memory_budget is not None:
-                strategy_key = strategy_key + (
-                    ("memory_budget", ctx.memory_budget),
-                )
-            epoch = cache.epoch
-            signature = plan_signature(
-                task, strategy_key, faults, retry_policy, epoch=epoch
-            )
-            hit = cache.lookup(signature)
-            if hit is not None:
-                if ctx.validate:
-                    hit.ensure_validated()
-                return hit
-
-    # The deadline bounds one compile: open a fresh ledger per call so a
-    # reused context never inherits spend from an earlier compile.
-    ctx.budget = (
-        CompileBudget.from_deadline(ctx.deadline) if ctx.deadline is not None else None
-    )
-    state = PlanState(task=task, strategy=strategy)
-    diagnostics = PassManager(ctx.passes).run(state, ctx)
-    assert state.plan is not None
-    compiled = CompiledPlan(
-        plan=state.plan,
-        signature=signature,
-        diagnostics=diagnostics,
-        faults=faults,
-        retry_policy=retry_policy,
-        timing=state.timing,
-        validated=ctx.validate,
-        scores=list(state.scores),
-    )
-    if signature is not None:
-        cache.store(signature, compiled, epoch=epoch)
-    return compiled
+    return compile_in_slot(task, ctx)

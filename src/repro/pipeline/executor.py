@@ -307,8 +307,9 @@ def simulate_pipeline(
     need_fwd = [len(job.in_edges(s)) for s in range(n_stages)]
     need_bwd = [len(job.out_edges(s)) for s in range(n_stages)]
 
-    # Blocking mode: when each transfer's data hits the wire.
-    send_started: dict[tuple[int, int, str], float] = {}
+    # Blocking mode: when each transfer's data hits the wire, and its
+    # duration (priced once, at the send; the recv reuses it).
+    send_started: dict[tuple[int, int, str], tuple[float, float]] = {}
 
     def deps_met(stage: int, t: Task) -> bool:
         if t.kind == "F":
@@ -420,9 +421,10 @@ def simulate_pipeline(
         )
 
     def produced_edges(stage: int, t: Task):
-        # comm_time() is called once per produced message: edges backed
-        # by a compiled resharding price every micro-batch through the
-        # plan cache + simulate_plan (the shared timing path).
+        # comm_time() is called once per produced message (in blocking
+        # mode the matching recv reuses the price): edges backed by a
+        # compiled resharding price every micro-batch with one plan-cache
+        # lookup of the compiled plan (the shared timing path).
         if t.kind == "F":
             return [(e, i, e.comm_time("fwd"), "fwd", e.dst_stage)
                     for i, e in enumerate(job.edges) if e.src_stage == stage]
@@ -453,7 +455,7 @@ def simulate_pipeline(
             # hits the wire when its send begins.
             block_until = finish
             for e, i, dur, direction, target in produced_edges(stage, t):
-                send_started[(i, t.microbatch, direction)] = block_until
+                send_started[(i, t.microbatch, direction)] = (block_until, dur)
                 block_until += dur
                 try_start(target)  # its recv may now be startable
             if block_until > finish:
@@ -489,11 +491,10 @@ def simulate_pipeline(
             return  # still blocked sending; wake-up event queued
         item = items[stage][idx[stage]]
         if isinstance(item, _Recv):
-            sent_at = send_started.get(item.key)
-            if sent_at is None:
+            sent = send_started.get(item.key)
+            if sent is None:
                 return  # matching send has not started yet
-            e = job.edges[item.edge_idx]
-            dur = e.comm_time(item.direction)
+            sent_at, dur = sent
             end = max(loop.now, sent_at) + dur
             stage_res[stage].try_acquire()
             start = loop.now

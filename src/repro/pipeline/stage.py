@@ -55,9 +55,9 @@ class CommEdge:
     ``resharding`` optionally carries the compiled resharding behind the
     edge (an :class:`~repro.compiler.EdgeResharding`, duck-typed to keep
     this module compiler-agnostic).  When present, :meth:`comm_time`
-    prices each message by executing the cached compiled plan through
-    ``simulate_plan`` — the one shared timing path; when absent the
-    pre-resolved ``fwd_time``/``bwd_time`` scalars are used.
+    prices each message as the ``simulate_plan`` latency of the compiled
+    plan — the one shared timing path; when absent the pre-resolved
+    ``fwd_time``/``bwd_time`` scalars are used.
     """
 
     src_stage: int
@@ -71,7 +71,13 @@ class CommEdge:
     resharding: object = field(default=None, compare=False, repr=False)
 
     def comm_time(self, direction: str) -> float:
-        """Per-micro-batch transfer duration in ``direction``."""
+        """Per-micro-batch transfer duration in ``direction``.
+
+        With a compiled resharding attached, the plan's signature is
+        built once per direction and plan-cache epoch; each call after
+        that is one ``PlanCache.lookup`` returning the plan with its
+        memoized simulated latency.
+        """
         if self.resharding is not None:
             return self.resharding.time(direction)
         if direction == "fwd":
