@@ -33,7 +33,7 @@ from repro.models.parallel import METHODS, resolve_comm_edges
 from repro.pipeline.executor import _validate_orders, simulate_pipeline
 from repro.pipeline.schedules import Task, schedule_job
 from repro.pipeline.stage import PipelineJob
-from repro.sim.events import EventLoop
+from repro.runtime.kernel import EventLoop
 
 
 # ----------------------------------------------------------------------

@@ -62,11 +62,12 @@ from ..core.plan import (
     MulticastOp,
     ScatterOp,
     SendOp,
+    gating_graph,
 )
 from ..core.slices import Region, region_intersection, region_shape, region_size
 from ..core.task import UnitCommTask
 from ..sim.faults import FaultSchedule
-from .deadlock import check_plan_deadlock, schedule_gating_preds
+from .deadlock import check_plan_deadlock
 from .diagnostics import AnalysisReport, Severity
 
 __all__ = ["check_plan", "Delivery"]
@@ -309,7 +310,7 @@ class _OrderOracle:
     task-level gating orders *all* ops of the two tasks).
     """
 
-    def __init__(self, plan: CommPlan, unit_tasks: list[UnitCommTask]) -> None:
+    def __init__(self, plan: CommPlan) -> None:
         known = {op.op_id for op in plan.ops}
         self._deps_of = {
             op.op_id: tuple(d for d in op.deps if d in known) for op in plan.ops
@@ -317,12 +318,9 @@ class _OrderOracle:
         self._dep_ancestors: dict[int, frozenset[int]] = {}
         self._task_of = {op.op_id: op.unit_task_id for op in plan.ops}
         self._task_ancestors: dict[int, frozenset[int]] = {}
-        preds = (
-            schedule_gating_preds(plan, unit_tasks)
-            if plan.schedule is not None
-            else {}
+        self._task_preds: dict[int, set[int]] = (
+            gating_graph(plan).preds if plan.schedule is not None else {}
         )
-        self._task_preds: dict[int, set[int]] = preds
 
     def _ancestors(
         self,
@@ -360,12 +358,9 @@ class _OrderOracle:
 
 
 def _check_races(
-    plan: CommPlan,
-    deliveries: list[Delivery],
-    unit_tasks: list[UnitCommTask],
-    report: AnalysisReport,
+    plan: CommPlan, deliveries: list[Delivery], report: AnalysisReport
 ) -> None:
-    oracle = _OrderOracle(plan, unit_tasks)
+    oracle = _OrderOracle(plan)
     by_receiver: dict[int, list[Delivery]] = {}
     for d in deliveries:
         by_receiver.setdefault(d.receiver, []).append(d)
@@ -711,13 +706,11 @@ def check_plan(
     _check_schedule_consistency(plan, unit_tasks, report)
     _check_failure_domains(plan, unit_tasks, faults, report)
     _check_topology(plan, report)
-    check_plan_memory(
-        plan, report, unit_tasks=unit_tasks, memory_budget=memory_budget
-    )
+    check_plan_memory(plan, report, memory_budget=memory_budget)
 
     if plan.data_complete:
         deliveries, coverage = _collect_deliveries(plan, report)
-        _check_races(plan, deliveries, unit_tasks, report)
+        _check_races(plan, deliveries, report)
         _check_coverage(plan, coverage, report)
     else:
         report.add(
@@ -728,5 +721,5 @@ def check_plan(
         )
 
     if deadlock:
-        report.extend(check_plan_deadlock(plan, unit_tasks))
+        report.extend(check_plan_deadlock(plan))
     return report

@@ -233,9 +233,7 @@ class SelectPass:
             fatal = result.fault_report is not None and result.fault_report.fatal
             infeasible = False
             if memory_budget is not None and sub.plan is not None:
-                peak = static_host_bounds(
-                    sub.plan, unit_tasks=sub.unit_tasks
-                ).peak
+                peak = static_host_bounds(sub.plan).peak
                 mem_peaks[cand.name] = peak
                 infeasible = peak > memory_budget
             state.scores.append((cand.name, result.total_time))

@@ -16,9 +16,11 @@ from .plan import (
     BroadcastOp,
     CommOp,
     CommPlan,
+    GatingGraph,
     MulticastOp,
     ScatterOp,
     SendOp,
+    gating_graph,
 )
 from .slices import (
     Region,
@@ -57,6 +59,8 @@ __all__ = [
     "MulticastOp",
     "ScatterOp",
     "AllGatherOp",
+    "GatingGraph",
+    "gating_graph",
     "simulate_plan",
     "TimingResult",
     "apply_plan",

@@ -43,6 +43,7 @@ from .plan import (
     MulticastOp,
     ScatterOp,
     SendOp,
+    gating_graph,
 )
 
 __all__ = ["TimingResult", "PlanRunner", "simulate_plan"]
@@ -191,30 +192,22 @@ class PlanRunner:
         self.host_peak: dict[int, float] = {}
 
         # ---- schedule gating ---------------------------------------------
-        # For each unit task, `task_preds[tid]` is the set of earlier-ordered
-        # tasks that share a host with it; it may start when all preds finish.
-        schedule = plan.schedule if respect_schedule else None
+        # `task_preds[tid]` are the earlier-ordered tasks sharing a host
+        # with `tid` (see `gating_graph`); it may start when all finished.
         self.task_ops: dict[int, list[CommOp]] = plan.ops_by_task()
         self.tasks_pending_ops = {tid: len(ops) for tid, ops in self.task_ops.items()}
-
-        self.task_preds: dict[int, set[int]] = {tid: set() for tid in self.task_ops}
-        self.task_succs: dict[int, set[int]] = {tid: set() for tid in self.task_ops}
-        if schedule is not None:
-            ut_by_id = {ut.task_id: ut for ut in plan.task.unit_tasks(plan.granularity)}
-            last_on_host: dict[int, int] = {}
-            for tid in schedule.order:
-                if tid not in self.task_ops:
-                    continue  # task had no receivers / no ops
-                ut = ut_by_id[tid]
-                hosts = set(plan.task.receiver_hosts(ut))
-                hosts.add(schedule.assignment[tid])
-                for h in sorted(hosts):
-                    if h in last_on_host:
-                        prev = last_on_host[h]
-                        if prev != tid:
-                            self.task_preds[tid].add(prev)
-                            self.task_succs[prev].add(tid)
-                    last_on_host[h] = tid
+        self.task_preds: dict[int, set[int]] = {}
+        self.task_succs: dict[int, set[int]] = {}
+        schedule = plan.schedule
+        if respect_schedule and schedule is not None:
+            gating = gating_graph(plan)
+            unassigned = [t for t in gating.hosts if t not in schedule.assignment]
+            if unassigned:
+                raise ValueError(
+                    f"unit task {unassigned[0]} is scheduled and has ops but "
+                    "no sender-host assignment"
+                )
+            self.task_preds, self.task_succs = gating.preds, gating.succs
 
     # ------------------------------------------------------------------
     # Execution machinery

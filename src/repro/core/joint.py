@@ -7,21 +7,22 @@ the table: their unit communication tasks contend for the same host
 NICs, so the §3.2 load-balance/ordering problem should be solved over
 the union.  This module builds one combined scheduling problem across
 all tensors, runs the ensemble scheduler once, and simulates all plans
-under a single global gating — the "collectively optimize all cross-mesh
-resharding tasks" framing of the paper's introduction.
+under a single global gating on the ordinary plan executor — the
+"collectively optimize all cross-mesh resharding tasks" framing of the
+paper's introduction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from ..scheduling import SCHEDULERS, Schedule, SchedTask, SchedulingProblem
 from ..sim.network import Network
 from ..strategies.base import LoadTracker
-from ..strategies.broadcast import adaptive_chunks
-from .executor import CollectiveHandle, _launch_op
-from .plan import BroadcastOp, CommPlan
+from ..strategies.broadcast import BroadcastStrategy
+from .executor import PlanRunner
+from .plan import CommPlan
 from .task import ReshardingTask
 
 __all__ = ["JointTimingResult", "plan_joint_broadcast", "simulate_joint", "reshard_boundary"]
@@ -58,7 +59,13 @@ def plan_joint_broadcast(
     scheduler: str = "ensemble",
     granularity: str = "intersection",
 ) -> tuple[list[CommPlan], Schedule, list[tuple[int, int]]]:
-    """Broadcast plans for all tensors under one global schedule."""
+    """Broadcast plans for all tensors under one global schedule.
+
+    Each tensor is emitted by :class:`BroadcastStrategy` under its slice
+    of the global schedule, which its plan carries, with one sender-load
+    tracker shared across tensors so replica picks balance over the
+    whole boundary.
+    """
     if not tasks:
         raise ValueError("need at least one resharding task")
     cluster = tasks[0].cluster
@@ -69,27 +76,22 @@ def plan_joint_broadcast(
         raise ValueError(f"unknown scheduler {scheduler!r}")
     problem, key = _combined_problem(tasks, granularity)
     schedule = SCHEDULERS[scheduler](problem)
+    strategy = BroadcastStrategy(granularity=granularity)
     load = LoadTracker(cluster)
-    plans = [CommPlan(task=rt, strategy="broadcast", granularity=granularity)
-             for rt in tasks]
-    for gid, (ti, local) in enumerate(key):
-        rt, plan = tasks[ti], plans[ti]
-        ut = rt.unit_tasks(granularity)[local]
-        if not ut.receivers:
-            continue
-        host = schedule.assignment[gid]
-        sender = load.pick_on_host(ut.senders, host, ut.nbytes)
-        plan.add(
-            BroadcastOp(
-                op_id=plan.next_op_id,
-                unit_task_id=local,
-                region=ut.region,
-                nbytes=ut.nbytes,
-                sender=sender,
-                receivers=ut.receivers,
-                n_chunks=adaptive_chunks(ut.nbytes),
-            )
+    sliced: list[list[int]] = [[] for _ in tasks]
+    for gid in schedule.order:
+        sliced[key[gid][0]].append(gid)
+    plans: list[CommPlan] = []
+    for rt, gids in zip(tasks, sliced):
+        part = Schedule(
+            assignment={key[g][1]: schedule.assignment[g] for g in gids},
+            order=tuple(key[g][1] for g in gids),
         )
+        plan = CommPlan(
+            task=rt, strategy="broadcast", schedule=part, granularity=granularity
+        )
+        strategy.emit(rt, plan, part, load)
+        plans.append(plan)
     return plans, schedule, key
 
 
@@ -101,6 +103,25 @@ class JointTimingResult:
     network: Network
 
 
+@dataclass
+class _JointPlan(CommPlan):
+    """Every tensor's ops renumbered into one plan over global task ids.
+
+    ``key[gid] = (tensor_idx, local_id)`` maps a global unit-task id
+    back to ``parts[tensor_idx]``, so each task's Eq. 3 host set is the
+    one its own tensor's plan reports, plus the sender host the global
+    schedule assigned (a part may not carry its schedule slice).
+    """
+
+    parts: Sequence[CommPlan] = ()
+    key: Sequence[tuple[int, int]] = ()
+
+    def task_hosts(self, tid: int) -> frozenset[int]:
+        ti, local = self.key[tid]
+        assert self.schedule is not None
+        return self.parts[ti].task_hosts(local) | {self.schedule.assignment[tid]}
+
+
 def simulate_joint(
     plans: Sequence[CommPlan],
     schedule: Schedule,
@@ -109,74 +130,36 @@ def simulate_joint(
 ) -> JointTimingResult:
     """Simulate several plans under one global schedule gating.
 
-    Gating follows the executor's Eq. 3 semantics, with per-host
-    program order derived from the *global* schedule order.
+    The tensors' ops are renumbered into one :class:`CommPlan` whose
+    unit tasks are the global ids, and that plan runs on
+    :class:`~repro.core.executor.PlanRunner`: Eq. 3 gating with per-host
+    program order taken from the *global* schedule order.
     """
     if not plans:
         raise ValueError("need at least one plan")
-    net = network if network is not None else Network(plans[0].task.cluster)
-    base_cross = net.bytes_cross_host
-
-    # global id -> op (joint broadcast plans have one op per unit task)
-    ops: dict[int, BroadcastOp] = {}
-    hosts_of: dict[int, set[int]] = {}
-    local_to_gid = {pair: gid for gid, pair in enumerate(key)}
+    gid_of = {pair: gid for gid, pair in enumerate(key)}
+    joint = _JointPlan(
+        task=plans[0].task, strategy="joint", schedule=schedule, parts=plans, key=key
+    )
+    tensor_ops: list[range] = []
     for ti, plan in enumerate(plans):
+        base = joint.next_op_id
         for op in plan.ops:
-            gid = local_to_gid[(ti, op.unit_task_id)]
-            ops[gid] = op
-            ut = plan.task.unit_tasks(plan.granularity)[op.unit_task_id]
-            h = set(plan.task.receiver_hosts(ut))
-            h.add(schedule.assignment[gid])
-            hosts_of[gid] = h
-
-    preds: dict[int, set[int]] = {g: set() for g in ops}
-    succs: dict[int, set[int]] = {g: set() for g in ops}
-    last_on_host: dict[int, int] = {}
-    for gid in schedule.order:
-        if gid not in ops:
-            continue
-        for h in hosts_of[gid]:
-            if h in last_on_host and last_on_host[h] != gid:
-                preds[gid].add(last_on_host[h])
-                succs[last_on_host[h]].add(gid)
-            last_on_host[h] = gid
-
-    finish: dict[int, float] = {}
-    tensor_pending = [len(p.ops) for p in plans]
-    tensor_finish = [0.0] * len(plans)
-    gid_tensor = {local_to_gid[(ti, op.unit_task_id)]: ti
-                  for ti, plan in enumerate(plans) for op in plan.ops}
-
-    def on_done(gid: int, handle: CollectiveHandle) -> None:
-        finish[gid] = handle.finish_time
-        ti = gid_tensor[gid]
-        tensor_pending[ti] -= 1
-        if tensor_pending[ti] == 0:
-            tensor_finish[ti] = handle.finish_time
-        for s in succs[gid]:
-            maybe_launch(s)
-
-    launched: set[int] = set()
-
-    def maybe_launch(gid: int) -> None:
-        if gid in launched or any(p not in finish for p in preds[gid]):
-            return
-        launched.add(gid)
-        handle = _launch_op(net, ops[gid])
-        handle.add_done_callback(lambda h, g=gid: on_done(g, h))
-
-    for gid in ops:
-        maybe_launch(gid)
-    net.run()
-    missing = [g for g in ops if g not in finish]
-    if missing:
-        raise RuntimeError(f"joint simulation deadlocked on tasks {missing[:5]}")
+            joint.add(replace(
+                op,
+                op_id=base + op.op_id,
+                unit_task_id=gid_of[ti, op.unit_task_id],
+                deps=tuple(base + d for d in op.deps),
+            ))
+        tensor_ops.append(range(base, joint.next_op_id))
+    result = PlanRunner(joint, network=network).run()
     return JointTimingResult(
-        total_time=max(finish.values(), default=0.0),
-        per_tensor_finish=tensor_finish,
-        bytes_cross_host=net.bytes_cross_host - base_cross,
-        network=net,
+        total_time=result.total_time,
+        per_tensor_finish=[
+            max((result.op_finish[i] for i in ids), default=0.0) for ids in tensor_ops
+        ],
+        bytes_cross_host=result.bytes_cross_host,
+        network=result.network,
     )
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..scheduling.problem import Schedule
 from .slices import Region
@@ -52,6 +52,8 @@ __all__ = [
     "MulticastOp",
     "FallbackRecord",
     "CommPlan",
+    "GatingGraph",
+    "gating_graph",
     "slice_checksum",
 ]
 
@@ -206,6 +208,23 @@ class CommPlan:
     def ops_of_task(self, unit_task_id: int) -> list[CommOp]:
         return list(self.ops_by_task().get(unit_task_id, ()))
 
+    def task_hosts(self, tid: int) -> frozenset[int]:
+        """Hosts scheduled unit task ``tid`` occupies under Eq. 3.
+
+        Its receiver hosts plus its assigned sender host.  A task id the
+        decomposition does not know adds no receivers and an unassigned
+        task no sender; the plan checker reports both shapes.
+        """
+        unit_tasks = self.task.unit_tasks(self.granularity)
+        hosts = (
+            self.task.receiver_hosts(unit_tasks[tid])
+            if 0 <= tid < len(unit_tasks)
+            else frozenset()
+        )
+        if self.schedule is not None and tid in self.schedule.assignment:
+            hosts |= {self.schedule.assignment[tid]}
+        return hosts
+
     def total_bytes(self) -> float:
         """Sum of bytes injected by each op (broadcast counts once per hop
         at execution time; here we count the op's payload once)."""
@@ -216,3 +235,48 @@ class CommPlan:
         for op in self.ops:
             kinds[type(op).__name__] = kinds.get(type(op).__name__, 0) + 1
         return f"CommPlan({self.strategy}, ops={kinds})"
+
+
+class GatingGraph(NamedTuple):
+    """A plan's schedule gating: the executable form of Eq. 3.
+
+    ``hosts[t]`` is :meth:`CommPlan.task_hosts` of every gated task;
+    ``preds[t]`` are the earlier-ordered tasks sharing one of those
+    hosts — ``t`` may start once all of them finished — and ``succs``
+    is the reverse map.  Both cover every task id that has ops.
+    """
+
+    hosts: dict[int, frozenset[int]]
+    preds: dict[int, set[int]]
+    succs: dict[int, set[int]]
+
+
+def gating_graph(plan: CommPlan) -> GatingGraph:
+    """Build ``plan``'s gating graph from its schedule order.
+
+    Each task waits for the last earlier-ordered task on each of its
+    hosts (visited in sorted order).  Tasks without ops and ungated
+    (``-1``) ops are skipped, and a task is never its own predecessor,
+    so a repeated order entry adds no self-loop.  The executor runs this
+    graph and the analyzers reason over it; an unscheduled plan has no
+    edges.
+    """
+    task_ops = plan.ops_by_task()
+    hosts_of: dict[int, frozenset[int]] = {}
+    preds: dict[int, set[int]] = {tid: set() for tid in task_ops}
+    succs: dict[int, set[int]] = {tid: set() for tid in task_ops}
+    if plan.schedule is None:
+        return GatingGraph(hosts_of, preds, succs)
+    last_on_host: dict[int, int] = {}
+    for tid in plan.schedule.order:
+        if tid == -1 or tid not in task_ops:
+            continue
+        if tid not in hosts_of:
+            hosts_of[tid] = plan.task_hosts(tid)
+        for h in sorted(hosts_of[tid]):
+            prev = last_on_host.get(h)
+            if prev is not None and prev != tid:
+                preds[tid].add(prev)
+                succs[prev].add(tid)
+            last_on_host[h] = tid
+    return GatingGraph(hosts_of, preds, succs)

@@ -12,7 +12,7 @@ anymore.
 Layout:
 
 * :mod:`repro.runtime.kernel` — heap-scheduled events, simulated clock,
-  named resources (the generalization of the old ``sim/events`` loop);
+  named resources;
 * :mod:`repro.runtime.resources` — FIFO token pools and serial
   reservation channels;
 * :mod:`repro.runtime.telemetry` — spans, counters, gauges, marks, and

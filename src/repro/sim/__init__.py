@@ -1,4 +1,4 @@
-"""Simulated GPU cluster: event loop, topology, flow network, collectives.
+"""Simulated GPU cluster: topology, flow network, collectives.
 
 This package substitutes for the paper's physical testbed (NCCL on a
 V100/NVLink/10-Gbps-Ethernet cluster).  See DESIGN.md §2 for the
@@ -7,7 +7,6 @@ substitution argument.
 
 from .cluster import GB, GBPS, Cluster, ClusterSpec, Device, FailureDomain, Host
 from .collectives import all_reduce, all_to_all, reduce_scatter
-from .events import EventLoop
 from .faults import (
     FAULT_CATEGORIES,
     CorruptionWindow,
@@ -48,7 +47,6 @@ __all__ = [
     "FailureDomain",
     "Device",
     "Host",
-    "EventLoop",
     "Flow",
     "FlowRecord",
     "Network",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import EventLoop
+from repro.runtime.kernel import EventLoop
 
 
 def test_initial_state():

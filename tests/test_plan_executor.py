@@ -1,8 +1,11 @@
 """Tests for the CommPlan IR and the timing interpreter."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.analysis import load_plan_fixture
 from repro.core.executor import simulate_plan
 from repro.core.mesh import DeviceMesh
 from repro.core.plan import BroadcastOp, CommPlan, SendOp
@@ -11,6 +14,8 @@ from repro.scheduling import Schedule
 from repro.sim.cluster import GB, Cluster, ClusterSpec
 from repro.sim.network import Network
 from repro.strategies import make_strategy
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures" / "bad_plans"
 
 
 def make_task(src_spec="S0RR", dst_spec="S0RR", shape=(8, 8, 8), latency=False):
@@ -91,6 +96,21 @@ def test_schedule_gating_enforces_host_order():
     # serialized: roughly 2x a single broadcast
     assert r.total_time >= 2 * t
     assert r.task_finish[0] <= r.total_time - t * 0.9
+
+
+def test_scheduled_task_without_assignment_is_refused():
+    """A scheduled task with ops but no sender host is a named error.
+
+    The plan checker reports the same plan as P007; the executor cannot
+    build the task's Eq. 3 host set and must say which task is at fault.
+    """
+    fixture = load_plan_fixture(
+        FIXTURE_DIR / "p007_unassigned_scheduled_task.json"
+    )
+    with pytest.raises(ValueError, match="unit task 3 .*no sender-host assignment"):
+        simulate_plan(fixture.plan)
+    # Without gating the assignment is never consulted.
+    assert simulate_plan(fixture.plan, respect_schedule=False).total_time > 0
 
 
 def test_gating_disabled_runs_concurrently():

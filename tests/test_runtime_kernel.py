@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.kernel import Event, EventLoop, Kernel
+from repro.runtime.kernel import EventLoop, Kernel
 from repro.runtime.resources import Resource, SerialChannel
 
 
@@ -47,14 +47,6 @@ def test_events_scheduled_at_now_during_callback_run_same_time():
     # nested zero-delay event lands after already-queued ties
     assert seen == ["first", "second", "nested"]
     assert loop.now == 1.0
-
-
-def test_shim_module_still_exports_the_loop():
-    from repro.sim import events
-
-    assert events.EventLoop is EventLoop
-    assert events.Event is Event
-    assert events.Kernel is Kernel
 
 
 # ----------------------------------------------------------------------
