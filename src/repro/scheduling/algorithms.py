@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from .problem import Schedule, SchedulingProblem, evaluate
 
@@ -199,6 +199,30 @@ def dfs_schedule(
 
 
 # ----------------------------------------------------------------------
+def _shuffle_steps(n: int) -> list[tuple[int, int, int]]:
+    """``(i, i + 1, (i + 1).bit_length())`` per swap of an ``n``-list shuffle."""
+    return [(i, i + 1, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+
+def _shuffle(
+    x: list[int],
+    getrandbits: Callable[[int], int],
+    steps: list[tuple[int, int, int]],
+) -> None:
+    """``random.Random.shuffle`` inlined, with its ``_randbelow`` sampler.
+
+    Fisher-Yates from the back, each index drawn as ``getrandbits(k)``
+    with rejection above the bound: the same calls in the same order as
+    the stdlib, so the same permutation and the same RNG state after.
+    ``steps`` is :func:`_shuffle_steps` of ``len(x)``.
+    """
+    for i, m, k in steps:
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def randomized_greedy_schedule(
     problem: SchedulingProblem,
     n_trials: int = 32,
@@ -211,40 +235,66 @@ def randomized_greedy_schedule(
     (no shared sender or receiver host); the trial covering the most
     devices wins the round.  Concatenating rounds yields the global
     order; list scheduling then recovers concurrency inside rounds.
+
+    The shuffle (:func:`_shuffle`) makes the same RNG draws as
+    ``random.Random.shuffle``, so each ``seed`` yields the schedule the
+    stdlib shuffle would.
     """
     rng = random.Random(seed)
-    remaining = {t.task_id: t for t in problem.tasks}
+    getrandbits = rng.getrandbits
+    # Per task, once: receiver hosts, sender options ranked fastest
+    # first (ties to the lower host id) with the host set each occupies,
+    # and the device count scored for the round.
+    info: dict[int, tuple[frozenset[int], list[tuple[int, frozenset[int]]], int]] = {}
+    for t in problem.tasks:
+        ranked = sorted(t.sender_host_options, key=lambda x: (t.duration(x), x))
+        info[t.task_id] = (
+            t.receiver_hosts,
+            [(h, t.hosts(h)) for h in ranked],
+            t.n_devices,
+        )
+    remaining = set(info)
     assignment: dict[int, int] = {}
     order: list[int] = []
     while remaining:
         best_set: list[tuple[int, int]] = []  # (task_id, host)
         best_score = -1
         ids = sorted(remaining)
+        round_hosts: set[int] = set()
+        for tid in ids:
+            receivers, ranked, _ = info[tid]
+            round_hosts |= receivers
+            round_hosts.update(h for h, _ in ranked)
+        n_hosts = len(round_hosts)
+        steps = _shuffle_steps(len(ids))
         for _ in range(n_trials):
             perm = ids[:]
-            rng.shuffle(perm)
+            _shuffle(perm, getrandbits, steps)
             used_hosts: set[int] = set()
             chosen: list[tuple[int, int]] = []
             score = 0
             for tid in perm:
-                t = remaining[tid]
-                if used_hosts & t.receiver_hosts:
+                receivers, ranked, n_devices = info[tid]
+                if not used_hosts.isdisjoint(receivers):
                     continue
-                # Prefer the fastest compatible sender host.
-                options = [h for h in t.sender_host_options if h not in used_hosts]
-                if not options:
+                # The fastest sender host not yet used this trial.
+                for h, hosts in ranked:
+                    if h not in used_hosts:
+                        break
+                else:
                     continue
-                h = min(options, key=lambda x: (t.duration(x), x))
                 chosen.append((tid, h))
-                used_hosts |= t.hosts(h)
-                score += t.n_devices
+                used_hosts |= hosts
+                score += n_devices
+                if len(used_hosts) == n_hosts:
+                    break  # every host is busy: no later task can fit
             if score > best_score:
                 best_score = score
                 best_set = chosen
         for tid, h in sorted(best_set):
             assignment[tid] = h
             order.append(tid)
-            del remaining[tid]
+            remaining.discard(tid)
     return _finalize(problem, assignment, tuple(order), "randomized_greedy")
 
 

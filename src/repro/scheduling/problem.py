@@ -57,8 +57,8 @@ class SchedulingProblem:
     tasks: list[SchedTask]
 
     def __post_init__(self) -> None:
-        ids = [t.task_id for t in self.tasks]
-        if len(set(ids)) != len(ids):
+        self._by_id = {t.task_id: t for t in self.tasks}
+        if len(self._by_id) != len(self.tasks):
             raise ValueError("duplicate task ids")
         for t in self.tasks:
             if not t.sender_host_options:
@@ -76,10 +76,7 @@ class SchedulingProblem:
         return len(self.tasks)
 
     def by_id(self, task_id: int) -> SchedTask:
-        for t in self.tasks:
-            if t.task_id == task_id:
-                return t
-        raise KeyError(task_id)
+        return self._by_id[task_id]
 
     # ------------------------------------------------------------------
     @classmethod

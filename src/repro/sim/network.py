@@ -14,10 +14,17 @@ compete for the communication bandwidth at the host's network interface"
 while a device can send and receive at full rate simultaneously (full
 duplex).
 
-Rates are recomputed whenever a flow starts or finishes; the event loop
-advances directly to the earliest completion, so simulation cost is
-``O(events x flows x ports)`` — comfortably fast for cluster sizes in the
-paper (dozens of devices, thousands of flows).
+Rates are recomputed once per simulated instant at which the active set
+changed (a flow starts, finishes, fails or times out, or a fault window
+opens or closes): every change *requests* a solve, and the first request
+at an instant queues one zero-delay flush event that runs the solver and
+re-arms the completion event.  No simulated time passes between events
+sharing an instant, so nothing drains between them and only the last
+solve's rates ever reach the next interval — a broadcast burst of ``k``
+activations costs one solve instead of ``k``, with bit-identical
+results.  The event loop advances directly to the earliest completion,
+so simulation cost is ``O(instants x flows x ports)`` — comfortably fast
+for cluster sizes in the paper (dozens of devices, thousands of flows).
 
 The network runs on the unified runtime kernel
 (:class:`~repro.runtime.kernel.Kernel`) and reports through its
@@ -186,6 +193,8 @@ class Network:
         self.solver.attach(self)
         self._next_id = 0
         self._completion_event: Optional[Event] = None
+        #: the queued flush of this instant's rate solve, if any
+        self._solve_event: Optional[Event] = None
         self._expected_finish: list[int] = []
         self._last_update = 0.0
         self._trace_view: list[FlowRecord] = []
@@ -402,7 +411,7 @@ class Network:
                 # destination is unreachable from here).  start_time
                 # stays -1 — the flow never became active.
                 self._fail_flow(flow, reason)
-                self._reallocate_and_schedule()
+                self._request_solve()
                 return
         flow.start_time = self.loop.now
         if flow.remaining <= 0.0:
@@ -411,7 +420,7 @@ class Network:
             self._active[flow.flow_id] = flow
             self.solver.flow_added(flow)
             self._arm_timeout(flow)
-        self._reallocate_and_schedule()
+        self._request_solve()
 
     def _advance_to_now(self) -> None:
         """Drain bytes transferred since the last rate update."""
@@ -422,9 +431,26 @@ class Network:
                 f.remaining = max(0.0, f.remaining - f.rate * dt)
         self._last_update = now
 
-    def _maxmin_rates(self) -> None:
-        """Max-min fair allocation over active flows (via the solver)."""
-        self.solver.solve()
+    def _request_solve(self) -> None:
+        """The active set changed: re-solve rates before time moves on.
+
+        The first request at an instant queues one zero-delay flush;
+        later ones at the same instant ride on it.  The exception is a
+        completion event due at this very instant: it reads the ETAs of
+        the last solve, so the solve runs now, exactly as it would
+        have with one solve per event.
+        """
+        if self._solve_event is not None:
+            return
+        armed = self._completion_event
+        if armed is not None and armed.time == self.loop.now:
+            self._reallocate_and_schedule()
+            return
+        self._solve_event = self.loop.call_at(self.loop.now, self._flush)
+
+    def _flush(self) -> None:
+        self._solve_event = None
+        self._reallocate_and_schedule()
 
     def _reallocate_and_schedule(self) -> None:
         self.solver.solve()
@@ -474,12 +500,12 @@ class Network:
         for f in finished:
             del self._active[f.flow_id]
             self.solver.flow_removed(f)
-        # Finish callbacks may submit new flows; they will trigger their
-        # own reallocation on activation, but we reallocate here too in
-        # case no new flows appear.
+        # Finish callbacks may submit new flows; their activations
+        # request their own solve, but request one here too in case no
+        # new flows appear.
         for f in finished:
             self._finish(f)
-        self._reallocate_and_schedule()
+        self._request_solve()
 
     def _finish(self, flow: Flow) -> None:
         corrupted = False
@@ -599,7 +625,7 @@ class Network:
             return  # already finished / failed / retried
         self._advance_to_now()
         self._fail_flow(flow, "timeout")
-        self._reallocate_and_schedule()
+        self._request_solve()
 
     def _on_fault_boundary(self) -> None:
         """A fault window opened or closed: rates change right now."""
@@ -615,7 +641,7 @@ class Network:
                 victims.append((f, reason))
         for f, reason in victims:
             self._fail_flow(f, reason)
-        self._reallocate_and_schedule()
+        self._request_solve()
 
     def fault_report(self) -> Optional[FaultReport]:
         """Summary of fault activity; ``None`` without a FaultSchedule.

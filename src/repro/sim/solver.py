@@ -1,10 +1,10 @@
 """Pluggable max-min fair rate solvers for the flow-level simulator.
 
-The progressive-filling fixpoint used to live inline in
-``Network._maxmin_rates`` and was rebuilt from scratch — fresh
-``cap``/``load`` dicts, a fresh ``unassigned`` set — on *every* rate
-reallocation, i.e. on every flow arrival, completion, failure, and fault
-boundary.  At thousands of concurrent flows that rebuild (plus the
+The progressive-filling fixpoint used to live inline in the network and
+was rebuilt from scratch — fresh ``cap``/``load`` dicts, a fresh
+``unassigned`` set — on *every* rate reallocation (today: once per
+simulated instant at which a flow arrives, completes or fails, or a
+fault boundary passes).  At thousands of concurrent flows that rebuild (plus the
 ``O(ports)`` min-share scan and the ``O(flows)`` fixing scan *per
 filling round*) dominates simulation wall time.
 
@@ -106,8 +106,8 @@ class ScalarSolver:
     """The original progressive-filling loop, kept byte-identical.
 
     Stateless between solves: rebuilds ``cap``/``load`` dicts from the
-    active set each time, exactly as ``Network._maxmin_rates`` always
-    did.  This is the executable specification the golden tests pin.
+    active set each time, exactly as the original inline loop did.
+    This is the executable specification the golden tests pin.
     """
 
     name = "scalar"

@@ -1,5 +1,7 @@
 """Tests for the load-balancing / scheduling algorithms (paper §3.2)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.scheduling import (
     randomized_greedy_schedule,
     validate_schedule,
 )
+from repro.scheduling.algorithms import _shuffle, _shuffle_steps
 from repro.sim.cluster import Cluster, ClusterSpec
 
 
@@ -242,3 +245,94 @@ def test_from_resharding_durations():
         for h in t.sender_host_options:
             expected = (16 ** 3 // 2) * 4 / cluster.spec.inter_host_bandwidth
             assert t.duration(h) == pytest.approx(expected)
+
+
+# ----------------------------------------------------------------------
+# randomized greedy: the fast path makes the stdlib's exact RNG draws
+# ----------------------------------------------------------------------
+def _reference_randomized_greedy(problem, n_trials=32, seed=0):
+    """Frozen copy of the original implementation (stdlib ``shuffle``,
+    per-trial ``min`` over sender options) — the draw-identity oracle."""
+    rng = random.Random(seed)
+    remaining = {t.task_id: t for t in problem.tasks}
+    assignment, order = {}, []
+    while remaining:
+        best_set, best_score = [], -1
+        ids = sorted(remaining)
+        for _ in range(n_trials):
+            perm = ids[:]
+            rng.shuffle(perm)
+            used_hosts, chosen, score = set(), [], 0
+            for tid in perm:
+                t = remaining[tid]
+                if used_hosts & t.receiver_hosts:
+                    continue
+                options = [h for h in t.sender_host_options if h not in used_hosts]
+                if not options:
+                    continue
+                h = min(options, key=lambda x: (t.duration(x), x))
+                chosen.append((tid, h))
+                used_hosts |= t.hosts(h)
+                score += t.n_devices
+            if score > best_score:
+                best_score, best_set = score, chosen
+        for tid, h in sorted(best_set):
+            assignment[tid] = h
+            order.append(tid)
+            del remaining[tid]
+    makespan, _ = evaluate(problem, assignment, order)
+    return assignment, tuple(order), makespan
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 99991])
+def test_inlined_shuffle_matches_stdlib(seed):
+    ref = random.Random(seed)
+    ours = random.Random(seed)
+    for n in range(301):
+        expected = list(range(n))
+        ref.shuffle(expected)
+        got = list(range(n))
+        _shuffle(got, ours.getrandbits, _shuffle_steps(n))
+        assert got == expected, n
+        # same draws, so the streams stay aligned for the next shuffle
+        assert ours.getstate() == ref.getstate(), n
+
+
+def _random_problem(rng):
+    n_hosts = rng.randint(2, 9)
+    hosts = range(n_hosts)
+    durations = [0.5, 1.0, 1.0, 1.5, 2.25]
+    tasks = []
+    for tid in range(rng.randint(1, 48)):
+        options = rng.sample(hosts, rng.randint(1, min(3, n_hosts)))
+        receivers = rng.sample(hosts, rng.randint(0, min(3, n_hosts)))
+        tasks.append(
+            SchedTask(
+                task_id=5 + 3 * tid,
+                sender_host_options=tuple(options),
+                receiver_hosts=frozenset(receivers),
+                duration_by_host={h: rng.choice(durations) for h in options},
+                n_devices=rng.randint(1, 4),
+            )
+        )
+    return SchedulingProblem(tasks)
+
+
+def test_randomized_greedy_matches_reference_implementation():
+    rng = random.Random(20240531)
+    for case in range(240):
+        p = _random_problem(rng)
+        n_trials = rng.choice([1, 2, 8, 32])
+        seed = rng.randrange(1 << 30)
+        s = randomized_greedy_schedule(p, n_trials=n_trials, seed=seed)
+        assignment, order, makespan = _reference_randomized_greedy(p, n_trials, seed)
+        assert s.assignment == assignment, case
+        assert s.order == order, case
+        assert s.makespan == makespan, case
+
+
+def test_by_id_indexes_tasks():
+    p = SchedulingProblem([T(4, [0], [1], 1.0), T(9, [1], [2], 2.0)])
+    assert p.by_id(9).duration(1) == 2.0
+    with pytest.raises(KeyError):
+        p.by_id(5)
