@@ -13,7 +13,8 @@ Two analyzers share one cycle finder:
   runtime; the analyzer reports the cycle before anything runs.
 
 * :func:`check_stage_orders_deadlock` (``D002``) models the pipeline
-  executors on the runtime kernel: each stage is a serial resource
+  executor on the runtime kernel: each stage (or, with interleaved
+  chunks, each worker) is a serial resource
   (its ordered task list is executed strictly in sequence, like a
   capacity-1 :class:`~repro.runtime.resources.Resource`), and each
   cross-stage activation/gradient message is an acquisition of the
@@ -152,9 +153,14 @@ def check_stage_orders_deadlock(
     """Detect wait-for cycles in a pipeline schedule's stage orders.
 
     ``orders[s]`` is stage ``s``'s ordered compute-task list (see
-    :func:`repro.pipeline.schedules.schedule_job`).  The wait-for graph:
+    :func:`repro.pipeline.schedules.schedule_job`); when tasks name a
+    chunk, ``orders[w]`` is worker ``w``'s list and each task belongs to
+    stage ``task.chunk``, as in
+    :func:`~repro.pipeline.executor.simulate_pipeline`.  Nodes are
+    ``S<worker>:<task>`` (``S0:F3``, or ``S0:F3c4`` with a chunk), one
+    per (stage, kind, micro-batch).  The wait-for graph:
 
-    * serial stages — task ``k`` of a stage waits on task ``k-1``
+    * serial workers — task ``k`` of a list waits on task ``k-1``
       (capacity-1 stage resource);
     * forward channels — ``F(m)`` at stage ``d`` waits on ``F(m)`` at
       stage ``s`` for every comm edge ``s -> d`` (activation arrival;
@@ -166,7 +172,18 @@ def check_stage_orders_deadlock(
     Reports ``D002`` with the cycle as a witness.
     """
     report = AnalysisReport(subject="pipeline-schedule")
-    n_stages = len(orders)
+    # (stage, microbatch) -> node of its forward, and of the producer
+    # of its activation gradient (Bx when split, else B)
+    fwd_of: dict[tuple[int, int], str] = {}
+    grad_of: dict[tuple[int, int], str] = {}
+    for w, order in enumerate(orders):
+        for t in order:
+            key = (w if t.chunk is None else t.chunk, t.microbatch)
+            if t.kind == "F":
+                fwd_of.setdefault(key, f"S{w}:{t!r}")
+            elif t.kind in ("B", "Bx"):
+                grad_of.setdefault(key, f"S{w}:{t!r}")
+    n_stages = max((k[0] for k in (*fwd_of, *grad_of)), default=-1) + 1
 
     if job is not None:
         fwd_inputs = {
@@ -179,35 +196,23 @@ def check_stage_orders_deadlock(
         fwd_inputs = {s: ([s - 1] if s > 0 else []) for s in range(n_stages)}
         bwd_inputs = {s: ([s + 1] if s < n_stages - 1 else []) for s in range(n_stages)}
 
-    def fwd_node(stage: int, mb: int) -> Optional[str]:
-        for t in orders[stage]:
-            if t.kind == "F" and t.microbatch == mb:
-                return f"S{stage}:F{mb}"
-        return None
-
-    def bwd_node(stage: int, mb: int) -> Optional[str]:
-        # The activation-gradient producer: Bx when split, else B.
-        for t in orders[stage]:
-            if t.kind in ("B", "Bx") and t.microbatch == mb:
-                return f"S{stage}:{t.kind}{mb}"
-        return None
-
     edges: dict[str, list[str]] = {}
-    for s, order in enumerate(orders):
+    for w, order in enumerate(orders):
         prev: Optional[str] = None
         for t in order:
-            node = f"S{s}:{t.kind}{t.microbatch}"
+            stage = w if t.chunk is None else t.chunk
+            node = f"S{w}:{t!r}"
             waits = edges.setdefault(node, [])
             if prev is not None:
                 waits.append(prev)
             if t.kind == "F":
-                for src in fwd_inputs[s]:
-                    upstream = fwd_node(src, t.microbatch)
+                for src in fwd_inputs[stage]:
+                    upstream = fwd_of.get((src, t.microbatch))
                     if upstream is not None:
                         waits.append(upstream)
             elif t.kind in ("B", "Bx"):
-                for dst in bwd_inputs[s]:
-                    downstream = bwd_node(dst, t.microbatch)
+                for dst in bwd_inputs[stage]:
+                    downstream = grad_of.get((dst, t.microbatch))
                     if downstream is not None:
                         waits.append(downstream)
             prev = node

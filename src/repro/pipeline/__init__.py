@@ -1,13 +1,7 @@
 """Pipeline-parallel schedules and execution (paper §4)."""
 
 from .executor import PipelineResult, simulate_pipeline
-from .interleaved import (
-    ChunkTask,
-    InterleavedJob,
-    InterleavedResult,
-    interleaved_order,
-    simulate_interleaved,
-)
+from .interleaved import InterleavedJob, interleaved_order, simulate_interleaved
 from .memory import (
     StageMemory,
     analytic_peak_inflight,
@@ -52,8 +46,6 @@ __all__ = [
     "memory_report",
     "StageMemory",
     "InterleavedJob",
-    "InterleavedResult",
-    "ChunkTask",
     "interleaved_order",
     "simulate_interleaved",
 ]

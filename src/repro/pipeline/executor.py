@@ -8,6 +8,13 @@ additionally waits for its cross-mesh inputs:
 * ``B``/``Bx``\\ ``(s, mb)`` waits for the activation gradient of every
   out-edge, sent when the downstream ``B``/``Bx`` finished.
 
+A worker may run several job stages (*chunks*, or virtual stages, as
+in interleaved 1F1B): its tasks then name the chunk they compute, and
+``orders[w]`` is worker ``w``'s list rather than stage ``w``'s.  Data
+dependencies and comm edges stay per job stage; the stage resource,
+channels (per directed worker pair), activation gauge and the spans'
+``stage`` attribute belong to the worker.
+
 The executor runs on the shared runtime kernel
 (:class:`~repro.runtime.kernel.Kernel`): stage occupancy is a kernel
 resource token, cross-stage FIFO channels are kernel serial channels,
@@ -99,6 +106,9 @@ class PipelineResult:
 
     telemetry: TelemetryBus = field(repr=False, compare=False)
     job: PipelineJob = field(repr=False)
+    #: the worker that ran each job stage (the identity without chunks);
+    #: per-stage statistics below are keyed by worker
+    workers: tuple[int, ...] = field(repr=False)
     fault_report: Optional[FaultReport] = None
     _timeline_cache: Optional[tuple[int, list[TimelineEntry]]] = field(
         default=None, init=False, repr=False, compare=False
@@ -115,7 +125,7 @@ class PipelineResult:
         # out of simulate_pipeline itself so the per-event path stays
         # within the bench_runtime_overhead wall-time gate.
         if self._stats_cache is None:
-            self._stats_cache = _fold_stats(self.telemetry, self.job.n_stages)
+            self._stats_cache = _fold_stats(self.telemetry, max(self.workers) + 1)
         return self._stats_cache
 
     @property
@@ -150,11 +160,23 @@ class PipelineResult:
         return self._comms_cache[1]
 
     def peak_memory_bytes(self, stage: int) -> float:
-        """Weights/optimizer plus peak live activations of a stage."""
-        prof = self.job.stages[stage]
-        return prof.params_bytes + (
-            self.peak_activation_counts.get(stage, 0) * prof.activation_bytes
+        """Weights/optimizer plus peak live activations of a worker.
+
+        A worker running several chunks holds all their weights; its
+        activations are priced at its largest chunk's per-micro-batch
+        size (exact for the homogeneous chunks interleaving uses).
+        """
+        profs = [p for p, w in zip(self.job.stages, self.workers) if w == stage]
+        return sum(p.params_bytes for p in profs) + (
+            self.peak_activation_counts.get(stage, 0)
+            * max(p.activation_bytes for p in profs)
         )
+
+    def bubble_fraction(self) -> float:
+        """Idle fraction of the busiest worker."""
+        if self.iteration_time <= 0:
+            raise ValueError("iteration time must be positive")
+        return 1.0 - max(self.stage_busy_time.values()) / self.iteration_time
 
     def throughput_tflops(self, model_flops: float, n_devices: int) -> float:
         """Aggregate per-GPU TFLOPS given total model FLOPs/iteration."""
@@ -165,11 +187,27 @@ class PipelineResult:
         return model_flops / self.iteration_time / n_devices / 1e12
 
 
-def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> None:
-    if len(orders) != job.n_stages:
-        raise ValueError(f"need {job.n_stages} task lists, got {len(orders)}")
+def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> tuple[int, ...]:
+    """Check ``orders`` against ``job``; return each job stage's worker.
+
+    ``orders[w]`` is worker ``w``'s list; a task computes stage
+    ``task.chunk``, or stage ``w`` when it names no chunk.  Every worker
+    holds tasks, and each stage's tasks sit on one worker.
+    """
+    owner: dict[int, int] = {}
+    per_stage: dict[int, list[Task]] = {}
+    for w, order in enumerate(orders):
+        if not order:
+            raise ValueError(f"worker {w} holds no tasks")
+        for t in order:
+            s = w if t.chunk is None else t.chunk
+            if owner.setdefault(s, w) != w:
+                raise ValueError(f"stage {s} split across workers {owner[s]} and {w}")
+            per_stage.setdefault(s, []).append(t)
+    if sorted(owner) != list(range(job.n_stages)):
+        raise ValueError(f"tasks cover stages {sorted(owner)}, not 0..{job.n_stages - 1}")
     m = job.n_microbatches
-    for s, order in enumerate(orders):
+    for s, order in per_stage.items():
         fwd = sorted(t.microbatch for t in order if t.kind == "F")
         if fwd != list(range(m)):
             raise ValueError(f"stage {s}: forwards {fwd} != 0..{m - 1}")
@@ -183,31 +221,29 @@ def _validate_orders(job: PipelineJob, orders: list[list[Task]]) -> None:
             continue  # inference: no backward pass at all
         if fused != set(range(m)) and (bx != set(range(m)) or bw != set(range(m))):
             raise ValueError(f"stage {s}: backward coverage incomplete")
-        pos: dict[Task, int] = {}
-        for i, t in enumerate(order):
-            if t in pos:
-                raise ValueError(f"stage {s}: duplicate task {t}")
-            pos[t] = i
+        seen: set[tuple[str, int]] = set()  # (kind, microbatch) so far
         for t in order:
-            if t.kind in ("B", "Bx"):
-                f = Task("F", t.microbatch)
-                if f not in pos or pos[f] > pos[t]:
-                    raise ValueError(
-                        f"stage {s}: backward of mb {t.microbatch} precedes its forward"
-                    )
-            if t.kind == "Bw":
-                x = Task("Bx", t.microbatch)
-                if x not in pos or pos[x] > pos[t]:
-                    raise ValueError(f"stage {s}: Bw{t.microbatch} precedes Bx")
+            key = (t.kind, t.microbatch)
+            if key in seen:
+                raise ValueError(f"stage {s}: duplicate task {t}")
+            if t.kind in ("B", "Bx") and ("F", t.microbatch) not in seen:
+                raise ValueError(
+                    f"stage {s}: backward of mb {t.microbatch} precedes its forward"
+                )
+            if t.kind == "Bw" and ("Bx", t.microbatch) not in seen:
+                raise ValueError(f"stage {s}: Bw{t.microbatch} precedes Bx")
+            seen.add(key)
+    return tuple(owner[s] for s in range(job.n_stages))
 
 
 def _insert_recvs(job: PipelineJob, orders: list[list[Task]]) -> list[list[_Item]]:
     """Blocking mode: put an explicit recv before each consuming task."""
     edge_idx = {id(e): i for i, e in enumerate(job.edges)}
     out: list[list[_Item]] = []
-    for s, order in enumerate(orders):
+    for w, order in enumerate(orders):
         items: list[_Item] = []
         for t in order:
+            s = w if t.chunk is None else t.chunk
             if t.kind == "F":
                 for e in sorted(job.in_edges(s), key=lambda e: edge_idx[id(e)]):
                     items.append(_Recv(edge_idx[id(e)], t.microbatch, "fwd"))
@@ -220,13 +256,13 @@ def _insert_recvs(job: PipelineJob, orders: list[list[Task]]) -> list[list[_Item
 
 
 def _fold_stats(
-    bus: TelemetryBus, n_stages: int
+    bus: TelemetryBus, n_workers: int
 ) -> tuple[float, dict[int, float], dict[int, int]]:
     """Fold iteration time, per-stage busy time and activation peaks
     out of the telemetry stream (the single source of truth)."""
     iteration_time = 0.0
-    busy = dict.fromkeys(range(n_stages), 0.0)
-    peak = dict.fromkeys(range(n_stages), 0)
+    busy = dict.fromkeys(range(n_workers), 0.0)
+    peak = dict.fromkeys(range(n_workers), 0)
     # Folded over the raw span rows (name, cat, track, start, end,
     # depth, parent, attrs) — this runs once per simulation, right
     # after the event loop drains, so it stays off the per-event path.
@@ -264,7 +300,7 @@ def simulate_pipeline(
     flap windows in ``faults`` translate to lost cross-stage messages
     (a transfer overlapping a flap of either endpoint's host is lost).
     """
-    _validate_orders(job, orders)
+    workers = _validate_orders(job, orders)
     if stage_hosts is not None and len(stage_hosts) != job.n_stages:
         raise ValueError(
             f"stage_hosts must map all {job.n_stages} stages, got {len(stage_hosts)}"
@@ -279,7 +315,7 @@ def simulate_pipeline(
     policy = retry_policy or RetryPolicy()
     loop = Kernel()
     bus = loop.bus
-    n_stages = job.n_stages
+    n_workers = len(orders)
 
     # -- fault bookkeeping --------------------------------------------
     incidents: list[FaultIncident] = []
@@ -293,19 +329,19 @@ def simulate_pipeline(
         [list(o) for o in orders] if overlap else _insert_recvs(job, orders)
     )
 
-    idx = [0] * n_stages
-    stage_track = [f"stage:{s}" for s in range(n_stages)]
-    stage_res = [loop.resource(stage_track[s]) for s in range(n_stages)]
-    stage_free_at = [0.0] * n_stages  # > now while blocked in sends
-    act = [bus.gauge("activations", track=stage_track[s]) for s in range(n_stages)]
+    idx = [0] * n_workers
+    stage_track = [f"stage:{w}" for w in range(n_workers)]
+    stage_res = [loop.resource(stage_track[w]) for w in range(n_workers)]
+    stage_free_at = [0.0] * n_workers  # > now while blocked in sends
+    act = [bus.gauge("activations", track=stage_track[w]) for w in range(n_workers)]
     # per-(src, dst, direction) channel + span-track cache: send_message
     # sits on the hot path, so the f-string/registry lookup happens once
     chan_cache: dict[tuple[int, int, str], tuple] = {}
 
     # Dependency arrival counters: ("F"|"B", stage, microbatch) -> count.
     arrived: dict[tuple[str, int, int], int] = {}
-    need_fwd = [len(job.in_edges(s)) for s in range(n_stages)]
-    need_bwd = [len(job.out_edges(s)) for s in range(n_stages)]
+    need_fwd = [len(job.in_edges(s)) for s in range(job.n_stages)]
+    need_bwd = [len(job.out_edges(s)) for s in range(job.n_stages)]
 
     # Blocking mode: when each transfer's data hits the wire, and its
     # duration (priced once, at the send; the recv reuses it).
@@ -318,7 +354,7 @@ def simulate_pipeline(
             return arrived.get(("B", stage, t.microbatch), 0) >= need_bwd[stage]
         return True  # Bw: local only
 
-    def duration(stage: int, t: Task) -> float:
+    def duration(worker: int, stage: int, t: Task) -> float:
         nonlocal added_latency
         prof = job.stages[stage]
         if t.kind == "F":
@@ -330,12 +366,12 @@ def simulate_pipeline(
         else:
             base = prof.bwd_w_time
         if faults is not None:
-            factor = faults.straggler_factor(stage, loop.now)
+            factor = faults.straggler_factor(worker, loop.now)
             if factor > 1.0:
                 incidents.append(
                     FaultIncident(
                         kind="straggler",
-                        where=f"stage {stage} {t.kind}{t.microbatch}",
+                        where=f"stage {worker} {t!r}",
                         time=loop.now,
                         resolved=True,
                     )
@@ -347,7 +383,7 @@ def simulate_pipeline(
     def arrival(kind: str, stage: int, mb: int) -> None:
         key = (kind, stage, mb)
         arrived[key] = arrived.get(key, 0) + 1
-        try_start(stage)
+        try_start(workers[stage])
 
     def message_lost(
         edge_i: int, mb: int, direction: str, attempt: int, cstart: float, cend: float
@@ -377,16 +413,17 @@ def simulate_pipeline(
         ckey = (e.src_stage, e.dst_stage, direction)
         cached = chan_cache.get(ckey)
         if cached is None:
-            cname = f"{e.src_stage}->{e.dst_stage}:{direction}"
-            cached = (loop.channel(cname), "chan:" + cname)
+            src_w, dst_w = workers[e.src_stage], workers[e.dst_stage]
+            cname = f"{src_w}->{dst_w}:{direction}"
+            cached = (loop.channel(cname), "chan:" + cname, src_w, dst_w)
             chan_cache[ckey] = cached
-        chan, ctrack = cached
+        chan, ctrack, src_w, dst_w = cached
         cstart = chan.reserve(earliest, dur)
         cend = cstart + dur
         label = e.label if attempt == 1 else f"{e.label}~retry{attempt - 1}"
         bus.span(
             label, "comm", ctrack, cstart, cend,
-            {"src_stage": e.src_stage, "dst_stage": e.dst_stage,
+            {"src_stage": src_w, "dst_stage": dst_w,
              "direction": direction, "microbatch": mb, "label": label},
         )
         mkey = (edge_i, mb, direction)
@@ -433,22 +470,24 @@ def simulate_pipeline(
                     for i, e in enumerate(job.edges) if e.dst_stage == stage]
         return []
 
-    def on_compute_done(stage: int, t: Task, start: float) -> None:
+    def on_compute_done(worker: int, stage: int, t: Task, start: float) -> None:
         finish = loop.now
-        bus.span(
-            f"{t.kind}{t.microbatch}", "compute", stage_track[stage], start, finish,
-            {"stage": stage, "kind": t.kind, "microbatch": t.microbatch},
-        )
+        attrs = {"stage": worker, "kind": t.kind, "microbatch": t.microbatch}
+        if t.chunk is None:
+            name = f"{t.kind}{t.microbatch}"
+        else:
+            name, attrs["chunk"] = repr(t), t.chunk
+        bus.span(name, "compute", stage_track[worker], start, finish, attrs)
         if t.kind == "F":
-            act[stage].add(1)
+            act[worker].add(1)
         elif t.kind in ("B", "Bw"):
-            act[stage].add(-1)
-        stage_res[stage].release()
-        idx[stage] += 1
+            act[worker].add(-1)
+        stage_res[worker].release()
+        idx[worker] += 1
         if overlap:
             for e, i, dur, direction, target in produced_edges(stage, t):
                 send_message(e, i, dur, direction, target, t.microbatch, finish, 1)
-            try_start(stage)
+            try_start(worker)
         else:
             # Blocking sends in program order: the stage stays busy for
             # the sum of its outgoing transfer durations; each transfer
@@ -457,62 +496,65 @@ def simulate_pipeline(
             for e, i, dur, direction, target in produced_edges(stage, t):
                 send_started[(i, t.microbatch, direction)] = (block_until, dur)
                 block_until += dur
-                try_start(target)  # its recv may now be startable
+                try_start(workers[target])  # its recv may now be startable
             if block_until > finish:
                 bus.span(
-                    f"send:{t.kind}{t.microbatch}", "send", stage_track[stage],
-                    finish, block_until, {"stage": stage},
+                    f"send:{t!r}", "send", stage_track[worker],
+                    finish, block_until, {"stage": worker},
                 )
-                stage_free_at[stage] = block_until
-                loop.call_at(block_until, lambda s=stage: try_start(s))
+                stage_free_at[worker] = block_until
+                loop.call_at(block_until, lambda w=worker: try_start(w))
             else:
-                try_start(stage)
+                try_start(worker)
 
-    def on_recv_done(stage: int, r: _Recv, start: float) -> None:
+    def on_recv_done(worker: int, r: _Recv, start: float) -> None:
         e = job.edges[r.edge_idx]
+        src_w, dst_w = workers[e.src_stage], workers[e.dst_stage]
         end = loop.now
         bus.span(
-            e.label, "comm", f"chan:{e.src_stage}->{e.dst_stage}:{r.direction}",
+            e.label, "comm", f"chan:{src_w}->{dst_w}:{r.direction}",
             start, end,
-            {"src_stage": e.src_stage, "dst_stage": e.dst_stage,
+            {"src_stage": src_w, "dst_stage": dst_w,
              "direction": r.direction, "microbatch": r.microbatch,
-             "label": e.label, "busy_stage": stage},
+             "label": e.label, "busy_stage": worker},
         )
-        stage_res[stage].release()
-        idx[stage] += 1
-        dep_kind = "F" if r.direction == "fwd" else "B"
-        arrival(dep_kind, stage, r.microbatch)  # calls try_start(stage)
-        try_start(stage)
+        stage_res[worker].release()
+        idx[worker] += 1
+        fwd = r.direction == "fwd"  # arrival() calls try_start(worker)
+        arrival("F" if fwd else "B", e.dst_stage if fwd else e.src_stage, r.microbatch)
+        try_start(worker)
 
-    def try_start(stage: int) -> None:
-        if stage_res[stage].available == 0 or idx[stage] >= len(items[stage]):
+    def try_start(worker: int) -> None:
+        if stage_res[worker].available == 0 or idx[worker] >= len(items[worker]):
             return
-        if loop.now < stage_free_at[stage] - 1e-15:
+        if loop.now < stage_free_at[worker] - 1e-15:
             return  # still blocked sending; wake-up event queued
-        item = items[stage][idx[stage]]
+        item = items[worker][idx[worker]]
         if isinstance(item, _Recv):
             sent = send_started.get(item.key)
             if sent is None:
                 return  # matching send has not started yet
             sent_at, dur = sent
             end = max(loop.now, sent_at) + dur
-            stage_res[stage].try_acquire()
+            stage_res[worker].try_acquire()
             start = loop.now
-            loop.call_at(end, lambda s=stage, r=item: on_recv_done(s, r, start))
+            loop.call_at(end, lambda w=worker, r=item: on_recv_done(w, r, start))
             return
+        stage = worker if item.chunk is None else item.chunk
         if not deps_met(stage, item):
             return
-        stage_res[stage].try_acquire()
+        stage_res[worker].try_acquire()
         start = loop.now
         loop.call_after(
-            duration(stage, item), lambda s=stage, t=item: on_compute_done(s, t, start)
+            duration(worker, stage, item),
+            lambda w=worker, s=stage, t=item: on_compute_done(w, s, t, start),
         )
 
-    for s in range(n_stages):
-        try_start(s)
+    for w in range(n_workers):
+        try_start(w)
     loop.run()
 
-    unfinished = [s for s in range(n_stages) if idx[s] < len(items[s])]
+    unfinished = [w for w in range(n_workers) if idx[w] < len(items[w])]
     if unfinished and faults is None:
         detail = {s: repr(items[s][idx[s]]) for s in unfinished}
         raise RuntimeError(
@@ -537,4 +579,4 @@ def simulate_pipeline(
             detail=f"stages stuck at tasks {stuck}" if stuck else "",
             incidents=incidents,
         )
-    return PipelineResult(telemetry=bus, job=job, fault_report=report)
+    return PipelineResult(telemetry=bus, job=job, workers=workers, fault_report=report)

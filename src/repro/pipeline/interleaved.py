@@ -10,46 +10,24 @@ more there is for broadcast + overlap to hide.
 
 The schedule follows Megatron-LM's interleaved 1F1B: warm-up depth
 ``(p - rank - 1) * 2 + (v - 1) * p`` forward steps, then one-forward-
-one-backward, with micro-batches processed in groups of ``p``.
-Communication is always overlapped (kernel serial channel per directed
-stage pair); the blocking mode of the plain executor is deliberately
-not offered — interleaving exists to create overlap opportunities.
+one-backward, with micro-batches processed in groups of ``p``.  At
+``v = 1`` it is exactly eager-1F1B.
 
-Like the plain executor, this one runs on the shared runtime kernel
-and reports through its telemetry bus; ``InterleavedResult.timeline``
-is a view over the emitted ``cat="compute"`` spans (now
-:class:`~repro.pipeline.timeline.TimelineEntry` records with a
-``chunk`` field, not bare tuples).
+This module only describes the job and generates the order: the job
+becomes a :class:`~repro.pipeline.stage.PipelineJob` with one stage per
+chunk, and :func:`~repro.pipeline.executor.simulate_pipeline` runs the
+per-rank orders with communication overlapped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from ..runtime.kernel import Kernel
-from ..runtime.telemetry import TelemetryBus
-from .timeline import TimelineEntry, timeline_from_spans
+from .executor import PipelineResult, simulate_pipeline
+from .schedules import Task
+from .stage import CommEdge, PipelineJob, StageProfile
 
-__all__ = [
-    "ChunkTask",
-    "InterleavedJob",
-    "InterleavedResult",
-    "interleaved_order",
-    "simulate_interleaved",
-]
-
-
-@dataclass(frozen=True)
-class ChunkTask:
-    """One compute step: forward or backward of (chunk, microbatch)."""
-
-    kind: str  # "F" | "B"
-    microbatch: int
-    chunk: int
-
-    def __repr__(self) -> str:
-        return f"{self.kind}{self.microbatch}c{self.chunk}"
+__all__ = ["InterleavedJob", "interleaved_order", "simulate_interleaved"]
 
 
 @dataclass(frozen=True)
@@ -91,25 +69,25 @@ class InterleavedJob:
         return chunk % self.n_stages
 
 
-def interleaved_order(job: InterleavedJob, rank: int) -> list[ChunkTask]:
+def interleaved_order(job: InterleavedJob, rank: int) -> list[Task]:
     """Megatron's interleaved 1F1B step order for one physical stage."""
     p, v, m = job.n_stages, job.n_virtual, job.n_microbatches
     if not 0 <= rank < p:
         raise ValueError(f"rank {rank} outside [0, {p})")
     total = m * v
 
-    def f_task(step: int) -> ChunkTask:
+    def f_task(step: int) -> Task:
         chunk_local = (step // p) % v
         mb = (step // (p * v)) * p + step % p
-        return ChunkTask("F", mb, chunk_local * p + rank)
+        return Task("F", mb, chunk_local * p + rank)
 
-    def b_task(step: int) -> ChunkTask:
+    def b_task(step: int) -> Task:
         chunk_local = v - 1 - ((step // p) % v)
         mb = (step // (p * v)) * p + step % p
-        return ChunkTask("B", mb, chunk_local * p + rank)
+        return Task("B", mb, chunk_local * p + rank)
 
     warmup = min(total, (p - rank - 1) * 2 + (v - 1) * p)
-    order: list[ChunkTask] = [f_task(s) for s in range(warmup)]
+    order: list[Task] = [f_task(s) for s in range(warmup)]
     fstep, bstep = warmup, 0
     while fstep < total:
         order.append(f_task(fstep))
@@ -122,150 +100,23 @@ def interleaved_order(job: InterleavedJob, rank: int) -> list[ChunkTask]:
     return order
 
 
-@dataclass
-class InterleavedResult:
-    """Outcome of one interleaved iteration (timeline derived from spans)."""
+def simulate_interleaved(job: InterleavedJob) -> PipelineResult:
+    """Run the interleaved schedule on the pipeline executor (overlapped).
 
-    iteration_time: float
-    peak_activation_counts: dict[int, int]
-    telemetry: TelemetryBus = field(repr=False, compare=False)
-    job: InterleavedJob = field(repr=False)
-    _timeline_cache: Optional[tuple[int, list[TimelineEntry]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def timeline(self) -> list[TimelineEntry]:
-        """Compute intervals (with ``chunk``), from the telemetry stream."""
-        spans = self.telemetry.spans
-        if self._timeline_cache is None or self._timeline_cache[0] != len(spans):
-            self._timeline_cache = (len(spans), timeline_from_spans(spans))
-        return self._timeline_cache[1]
-
-    def bubble_fraction(self) -> float:
-        """Idle fraction of the busiest stage."""
-        busy: dict[int, float] = {}
-        for e in self.timeline:
-            busy[e.stage] = busy.get(e.stage, 0.0) + (e.end - e.start)
-        return 1.0 - max(busy.values()) / self.iteration_time
-
-
-def simulate_interleaved(job: InterleavedJob) -> InterleavedResult:
-    """Event-driven execution of the interleaved schedule (overlapped).
-
-    Dependencies: ``F(c, mb)`` waits for the activation of chunk
-    ``c-1``; ``B(c, mb)`` for the gradient from chunk ``c+1``; the last
-    chunk's backward starts from its own forward.  Transfers occupy a
-    kernel serial channel per (src stage, dst stage, direction).
+    Each chunk is a job stage; a boundary between chunks on different
+    ranks is a comm edge ``c{i}->c{i+1}``.  A boundary inside one rank
+    needs no transfer: program order already sequences the two chunks.
     """
-    loop = Kernel()
-    bus = loop.bus
-    p = job.n_stages
-    orders = [interleaved_order(job, r) for r in range(p)]
-
-    idx = [0] * p
-    stage_res = [loop.resource(f"stage:{s}") for s in range(p)]
-    arrived: set[tuple[str, int, int]] = set()  # (kind, chunk, microbatch)
-    act = [bus.gauge("activations", track=f"stage:{s}") for s in range(p)]
-    done: set[tuple[str, int, int]] = set()
-
-    def deps_met(t: ChunkTask) -> bool:
-        if t.kind == "F":
-            return t.chunk == 0 or ("F", t.chunk, t.microbatch) in arrived
-        if t.chunk == job.n_chunks - 1:
-            return ("F", t.chunk, t.microbatch) in done
-        return ("B", t.chunk, t.microbatch) in arrived
-
-    def send(kind: str, src_chunk: int, mb: int) -> None:
-        """Transfer the produced tensor to the neighbouring chunk."""
-        if kind == "F":
-            dst_chunk = src_chunk + 1
-            if dst_chunk >= job.n_chunks:
-                return
-            dur, direction = job.comm_fwd, "fwd"
-            key_kind = "F"
-        else:
-            dst_chunk = src_chunk - 1
-            if dst_chunk < 0:
-                return
-            dur, direction = job.comm_bwd, "bwd"
-            key_kind = "B"
-        src_stage, dst_stage = job.stage_of(src_chunk), job.stage_of(dst_chunk)
-        chan = loop.channel(f"{src_stage}->{dst_stage}:{direction}")
-        start = chan.reserve(loop.now, dur)
-        end = start + dur
-        bus.emit_span(
-            f"c{src_chunk}->c{dst_chunk}",
-            cat="comm",
-            track=f"chan:{src_stage}->{dst_stage}:{direction}",
-            start=start,
-            end=end,
-            src_stage=src_stage,
-            dst_stage=dst_stage,
-            direction=direction,
-            microbatch=mb,
-            label=f"c{src_chunk}->c{dst_chunk}",
-        )
-
-        def deliver(kk=key_kind, dc=dst_chunk, mb=mb, ds=dst_stage) -> None:
-            arrived.add((kk, dc, mb))
-            try_start(ds)
-
-        loop.call_at(end, deliver)
-
-    def on_complete(stage: int, t: ChunkTask, start: float) -> None:
-        bus.emit_span(
-            repr(t),
-            cat="compute",
-            track=f"stage:{stage}",
-            start=start,
-            end=loop.now,
-            stage=stage,
-            kind=t.kind,
-            microbatch=t.microbatch,
-            chunk=t.chunk,
-        )
-        done.add((t.kind, t.chunk, t.microbatch))
-        if t.kind == "F":
-            act[stage].add(1)
-        else:
-            act[stage].add(-1)
-        stage_res[stage].release()
-        idx[stage] += 1
-        send(t.kind, t.chunk, t.microbatch)
-        try_start(stage)
-
-    def try_start(stage: int) -> None:
-        if stage_res[stage].in_use or idx[stage] >= len(orders[stage]):
-            return
-        t = orders[stage][idx[stage]]
-        if not deps_met(t):
-            return
-        stage_res[stage].try_acquire()
-        start = loop.now
-        dur = job.fwd_time if t.kind == "F" else job.bwd_time
-        loop.call_after(dur, lambda: on_complete(stage, t, start))
-
-    for s in range(p):
-        try_start(s)
-    loop.run()
-
-    stuck = [s for s in range(p) if idx[s] < len(orders[s])]
-    if stuck:
-        detail = {s: repr(orders[s][idx[s]]) for s in stuck}
-        raise RuntimeError(f"interleaved schedule deadlocked at {detail}")
-    iteration_time = 0.0
-    peak = dict.fromkeys(range(p), 0)
-    for span in bus.spans:
-        if span.cat == "compute":
-            iteration_time = max(iteration_time, span.end)
-    for c in bus.counters:
-        if c.name == "activations" and c.track.startswith("stage:"):
-            stage = int(c.track[len("stage:"):])
-            peak[stage] = max(peak[stage], int(c.value))
-    return InterleavedResult(
-        iteration_time=iteration_time,
-        peak_activation_counts=peak,
-        telemetry=bus,
-        job=job,
-    )
+    stages = [
+        StageProfile(c, job.fwd_time, job.bwd_time, 0.0,
+                     activation_bytes=job.activation_bytes)
+        for c in range(job.n_chunks)
+    ]
+    edges = [
+        CommEdge(c, c + 1, job.comm_fwd, job.comm_bwd, label=f"c{c}->c{c + 1}")
+        for c in range(job.n_chunks - 1)
+        if job.stage_of(c) != job.stage_of(c + 1)
+    ]
+    pjob = PipelineJob(stages, edges, job.n_microbatches)
+    orders = [interleaved_order(job, r) for r in range(job.n_stages)]
+    return simulate_pipeline(pjob, orders)

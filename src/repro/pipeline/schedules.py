@@ -20,7 +20,7 @@ identical latency when communication is free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Optional
 
 __all__ = [
     "Task",
@@ -42,13 +42,17 @@ SCHEDULE_NAMES = ("gpipe", "1f1b", "eager_1f1b")
 
 @dataclass(frozen=True)
 class Task:
-    """One compute task in a stage's ordered list."""
+    """One compute task in a stage's ordered list; ``chunk`` names the job
+    stage it computes when one worker runs several (interleaved 1F1B)."""
 
     kind: str
     microbatch: int
+    chunk: Optional[int] = None
 
     def __repr__(self) -> str:
-        return f"{self.kind}{self.microbatch}"
+        if self.chunk is None:
+            return f"{self.kind}{self.microbatch}"
+        return f"{self.kind}{self.microbatch}c{self.chunk}"
 
 
 def fifo_warmup(stage: int, n_stages: int) -> int:

@@ -1,16 +1,16 @@
-"""Shared timeline records for the pipeline executors.
+"""Timeline records of the pipeline executor.
 
-:class:`TimelineEntry` and :class:`CommEntry` used to be duplicated
-between the plain and interleaved executors (the latter as bare
-tuples).  They now live here, and — since the executors report through
-the runtime telemetry bus — they are *derived views*: the helpers below
-rebuild them from the span stream, so a result object holds no private
-timeline lists.
+:class:`TimelineEntry` and :class:`CommEntry` are *derived views*: the
+executor reports through the runtime telemetry bus, and the helpers
+below rebuild the records from the span stream, so a result object
+holds no private timeline lists.
 
-Span conventions (shared by both executors):
+Span conventions (``<s>`` is the worker, which is the stage unless
+tasks name a chunk):
 
 * compute spans: ``cat="compute"``, track ``stage:<s>``, attrs
-  ``stage``/``kind``/``microbatch`` (and ``chunk`` when interleaved);
+  ``stage``/``kind``/``microbatch`` (and ``chunk`` when the task names
+  one);
 * transfer spans: ``cat="comm"``, track ``chan:<src>-><dst>:<dir>``,
   attrs ``src_stage``/``dst_stage``/``direction``/``microbatch``/
   ``label`` (plus ``busy_stage`` when the recv occupies a stage in
@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimelineEntry:
-    """One compute interval on a stage (``chunk >= 0`` when interleaved)."""
+    """One compute interval on a stage (``chunk >= 0`` when the task names one)."""
 
     stage: int
     kind: str

@@ -1,8 +1,8 @@
 """The unified simulation runtime: event kernel + telemetry bus.
 
 Every simulator in the repo — the flow-level network model behind
-``simulate_plan``, the pipeline executors (plain and interleaved), and
-the elastic-recovery supervisor — executes on one discrete-event
+``simulate_plan``, the pipeline executor (which also runs interleaved
+1F1B), and the elastic-recovery supervisor — executes on one discrete-event
 :class:`Kernel` and reports what happened through one structured
 :class:`TelemetryBus`.  Timelines, Gantt charts, Chrome traces, and the
 result objects' ``timeline``/``comms``/``trace`` views are all *derived*

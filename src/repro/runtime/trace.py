@@ -1,8 +1,8 @@
 """Export a telemetry bus: Chrome trace JSON, JSONL, last-run replay.
 
-One exporter for every simulator, replacing the three bespoke record
-formats (pipeline timeline entries, interleaved tuples, network flow
-records) that used to each have their own dump path:
+One exporter for every simulator, replacing the bespoke record
+formats (pipeline timeline entries, network flow records) that used to
+each have their own dump path:
 
 * :func:`chrome_trace_events` — generic ``chrome://tracing`` /
   Perfetto "trace event" conversion: one process per track group, one
