@@ -3,9 +3,12 @@
 Three layers of the refactored hot path, each with an acceptance gate:
 
 * **Solver** — the vectorized max-min backend must be >=5x faster than
-  the preserved scalar loop on the 10k-flow churn benchmark while
-  producing *bit-identical* rates (fingerprints compared, and persisted
-  so drift is a CI failure).
+  the preserved scalar loop (:class:`FrozenScalarSolver`, the
+  progressive-filling loop as it was before the scalar solver kept a
+  port incidence) on the 10k-flow churn benchmark, and the incidence
+  :class:`~repro.sim.solver.ScalarSolver` >=1.5x faster than that loop
+  at 1k and 10k flows, all producing *bit-identical* rates
+  (fingerprints compared, and persisted so drift is a CI failure).
 * **Kernel + network end-to-end** — a seeded windowed flow program runs
   through the batched event loop on every backend; all three must
   produce one telemetry digest (persisted).
@@ -50,6 +53,71 @@ def _cluster() -> Cluster:
     return Cluster(ClusterSpec(n_hosts=8, devices_per_host=4))
 
 
+class FrozenScalarSolver:
+    """The preserved scalar loop, the reference both solver gates time.
+
+    ``cap``/``load`` and the unassigned set are rebuilt per solve, and
+    every round re-sorts and re-tests each unassigned flow.  Its rates
+    are the specification the other backends must equal.
+    """
+
+    name = "frozen"
+
+    def attach(self, network: Network) -> None:
+        self._net = network
+
+    def flow_added(self, flow: Flow) -> None:
+        pass
+
+    def flow_removed(self, flow: Flow) -> None:
+        pass
+
+    def solve(self) -> None:
+        net = self._net
+        active = net._active
+        flows = list(active.values())
+        if not flows:
+            return
+        cap: dict[str, float] = {}
+        load: dict[str, int] = {}
+        for f in flows:
+            f.rate = 0.0
+            for p in f.ports:
+                if p not in cap:
+                    cap[p] = net._port_capacity(p)
+                    load[p] = 0
+                load[p] += 1
+        unassigned = set(active.keys())
+        while unassigned:
+            best_port = None
+            best_share = float("inf")
+            for p, n in load.items():
+                if n <= 0:
+                    continue
+                share = cap[p] / n
+                if share < best_share:
+                    best_share = share
+                    best_port = p
+            if best_port is None:
+                break
+            fixed = [
+                fid for fid in sorted(unassigned) if best_port in active[fid].ports
+            ]
+            for fid in fixed:
+                f = active[fid]
+                f.rate = best_share
+                unassigned.discard(fid)
+                for p in f.ports:
+                    cap[p] -= best_share
+                    load[p] -= 1
+            cap[best_port] = 0.0
+            load[best_port] = 0
+
+
+def _solver(backend: str) -> Any:
+    return FrozenScalarSolver() if backend == "frozen" else backend
+
+
 def _inject(net: Network, rng: random.Random, nbytes: float = 1e6) -> None:
     """Register one random active flow directly with the solver."""
     src = rng.randrange(N_DEV)
@@ -83,7 +151,7 @@ def solver_churn(n_flows: int, solver: str, iters: int) -> tuple[str, float]:
     backends, machine-independent.
     """
     rng = random.Random(42)
-    net = Network(_cluster(), solver=solver)
+    net = Network(_cluster(), solver=_solver(solver))
     for _ in range(n_flows):
         _inject(net, rng)
     t0 = time.perf_counter()
@@ -202,30 +270,36 @@ def _payload_inner(quick: bool) -> dict[str, Any]:
     for n in FLOW_COUNTS:
         iters = CHURN_ITERS[n]
         fps = {}
-        # Two interleaved repetitions where the speedup gate applies:
-        # a CPU-frequency phase then hits both backends instead of
-        # landing entirely on the (long) scalar run.
+        # Two interleaved repetitions where the speedup gates apply:
+        # a CPU-frequency phase then hits every backend instead of
+        # landing entirely on the (long) frozen run.
         for _rep in range(2 if iters else 1):
-            for backend in ("scalar", "vector"):
+            for backend in ("frozen", "scalar", "vector"):
                 fp, wall = solver_churn(n, backend, iters)
                 assert fps.setdefault(backend, fp) == fp, f"nondeterministic {backend}"
                 key = (n, backend)
                 walls[key] = min(walls.get(key, float("inf")), wall)
-        for backend in ("scalar", "vector"):
+        for backend in ("frozen", "scalar", "vector"):
             wall = walls[(n, backend)]
             updates = n * max(1, iters) / wall
             print(
                 f"[solver] n={n:>6} {backend:<6} {wall * 1e3:8.1f}ms "
                 f"{updates:12,.0f} flow-updates/s"
             )
-        assert fps["vector"] == fps["scalar"], f"rate drift at {n} flows"
+        assert fps["scalar"] == fps["frozen"], f"scalar rate drift at {n} flows"
+        assert fps["vector"] == fps["frozen"], f"rate drift at {n} flows"
         out["solver"][str(n)] = {
-            "fingerprint": fps["scalar"],
+            "fingerprint": fps["frozen"],
             "churn_iters": iters,
             "bit_identical": True,
         }
-    speedup_10k = walls[(10_000, "scalar")] / walls[(10_000, "vector")]
-    print(f"[solver] 10k-flow churn speedup: {speedup_10k:.1f}x (gate: >=5x)")
+    speedup_10k = walls[(10_000, "frozen")] / walls[(10_000, "vector")]
+    print(f"[solver] 10k-flow churn vector speedup: {speedup_10k:.1f}x (gate: >=5x)")
+    scalar_speedups = {
+        n: walls[(n, "frozen")] / walls[(n, "scalar")] for n in (1_000, 10_000)
+    }
+    for n, x in scalar_speedups.items():
+        print(f"[solver] n={n:>6} incidence scalar speedup: {x:.2f}x (gate: >=1.5x)")
 
     # ---- kernel + network end-to-end ---------------------------------
     digests = {}
@@ -271,9 +345,12 @@ def _payload_inner(quick: bool) -> dict[str, Any]:
 
     # ---- gates (asserted; persisted as constants once they hold) -----
     assert speedup_10k >= 5.0, f"vector solver only {speedup_10k:.1f}x at 10k flows"
+    for n, x in scalar_speedups.items():
+        assert x >= 1.5, f"incidence scalar solver only {x:.2f}x at {n} flows"
     assert reduction >= 0.30, f"resim reduction only {reduction:.0%}"
     assert select_reduction >= 0.30, f"select reduction only {select_reduction:.0%}"
     out["gates"] = {
+        "scalar_incidence_speedup_min_1_5x": True,
         "vector_10k_speedup_min_5x": True,
         "resim_fig5_reduction_min_30pct": True,
         "select_pass_reduction_min_30pct": True,

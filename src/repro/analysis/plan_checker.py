@@ -182,7 +182,7 @@ def _check_sender_holds(plan: CommPlan, op: CommOp, report: AnalysisReport) -> b
     if sender is None:
         return True
     task = plan.task
-    if sender not in task.src_mesh.devices:
+    if sender not in task.src_mesh:
         report.add(
             "P005",
             f"op {op.op_id}: sender {sender} is not a source-mesh device",
@@ -445,7 +445,7 @@ def _check_schedule_consistency(
             )
             continue
         sender = _op_sender(op)
-        if sender is not None and sender in task.src_mesh.devices:
+        if sender is not None and sender in task.src_mesh:
             host = task.cluster.host_of(sender)
             if host in rerooted_from.get(tid, ()):
                 report.add(

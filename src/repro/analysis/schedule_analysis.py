@@ -136,12 +136,24 @@ def check_stage_orders(
     n_microbatches: int,
     job: Optional[PipelineJob] = None,
 ) -> AnalysisReport:
-    """Analyze explicit per-stage task orders: S001/S002 plus D002."""
+    """Analyze explicit per-worker task orders: S001/S002 plus D002.
+
+    ``orders[w]`` is worker ``w``'s list; a task belongs to stage
+    ``task.chunk``, or stage ``w`` when it names no chunk, as in
+    :func:`~repro.pipeline.executor.simulate_pipeline`.  S001/S002 are
+    checked per stage, over that stage's tasks in worker order.
+    """
     report = AnalysisReport(subject="pipeline-schedule")
-    for s, order in enumerate(orders):
-        _check_structure(s, order, n_microbatches, report)
+    per_stage: dict[int, list[Task]] = {}
+    for w, order in enumerate(orders):
+        if not order:
+            per_stage.setdefault(w, [])
+        for t in order:
+            per_stage.setdefault(w if t.chunk is None else t.chunk, []).append(t)
+    for s in sorted(per_stage):
+        _check_structure(s, per_stage[s], n_microbatches, report)
         if job is not None and s < len(job.stages):
-            _check_memory(job.stages[s], order, report)
+            _check_memory(job.stages[s], per_stage[s], report)
     report.extend(check_stage_orders_deadlock(orders, job))
     return report
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from ..core.executor import TimingResult, simulate_plan
-from ..core.plan import CommPlan, FallbackRecord, slice_checksum
+from ..core.plan import CommPlan, FallbackRecord, slice_checksums
 from ..core.task import ReshardingTask, UnitCommTask
 from ..core.validate import PlanValidationError
 from ..scheduling import Schedule, SchedulingProblem
@@ -352,8 +352,8 @@ class EmitPass:
         # gray corruption.  Done here (not in each strategy) so every
         # emission backend gets it for free.
         plan.ops = [
-            replace(op, checksum=slice_checksum(state.task, op))
-            for op in plan.ops
+            replace(op, checksum=checksum)
+            for op, checksum in zip(plan.ops, slice_checksums(state.task, plan.ops))
         ]
         state.plan = plan
         return f"{len(plan.ops)} op(s)"

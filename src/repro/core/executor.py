@@ -190,6 +190,8 @@ class PlanRunner:
         self.host_live: dict[int, float] = {}
         #: per-host high-water mark of ``host_live``
         self.host_peak: dict[int, float] = {}
+        #: op id -> the sorted (host, bytes) its launch charged
+        self._op_buffers: dict[int, list[tuple[int, float]]] = {}
 
         # ---- schedule gating ---------------------------------------------
         # `task_preds[tid]` are the earlier-ordered tasks sharing a host
@@ -224,7 +226,9 @@ class PlanRunner:
     # ------------------------------------------------------------------
     def _buffer_charge(self, op: CommOp) -> None:
         """Charge the op's transient buffers; called at launch."""
-        for host, nbytes in sorted(op_host_buffers(self.net.cluster, op).items()):
+        charged = sorted(op_host_buffers(self.net.cluster, op).items())
+        self._op_buffers[op.op_id] = charged
+        for host, nbytes in charged:
             live = self.host_live.get(host, 0.0) + nbytes
             self.host_live[host] = live
             if live > self.host_peak.get(host, 0.0):
@@ -240,7 +244,7 @@ class PlanRunner:
         Runs *before* any dependent op or gated successor task launches,
         so a handoff at one instant never double-counts on the peak.
         """
-        for host, nbytes in sorted(op_host_buffers(self.net.cluster, op).items()):
+        for host, nbytes in self._op_buffers.pop(op.op_id):
             self.host_live[host] = self.host_live.get(host, 0.0) - nbytes
             if self.track_buffers:
                 self.net.bus.gauge("buffer_bytes", f"host{host}").add(

@@ -40,6 +40,8 @@ class DeviceMesh:
             for i in range(self.shape[0])
             for j in range(self.shape[1])
         }
+        # Meshes are immutable: the flat device tuple is built once.
+        self._devices: tuple[int, ...] = tuple(d for row in self.grid for d in row)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -89,7 +91,7 @@ class DeviceMesh:
     @property
     def devices(self) -> tuple[int, ...]:
         """All device ids, row-major."""
-        return tuple(d for row in self.grid for d in row)
+        return self._devices
 
     @property
     def n_devices(self) -> int:
@@ -99,6 +101,10 @@ class DeviceMesh:
     def hosts(self) -> tuple[int, ...]:
         """Host ids spanned by the mesh, ascending."""
         return tuple(sorted({self.cluster.host_of(d) for d in self.devices}))
+
+    def __contains__(self, device_id: object) -> bool:
+        """True when ``device_id`` is one of the mesh's devices (O(1))."""
+        return device_id in self._coords
 
     def device_at(self, i: int, j: int) -> int:
         return self.grid[i][j]

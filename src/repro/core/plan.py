@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..scheduling.problem import Schedule
 from .slices import Region
@@ -55,6 +55,7 @@ __all__ = [
     "GatingGraph",
     "gating_graph",
     "slice_checksum",
+    "slice_checksums",
 ]
 
 
@@ -68,15 +69,23 @@ def slice_checksum(task: ReshardingTask, op: CommOp) -> str:
     of the payload; in the simulator the *presence* of the stamp is what
     matters: it marks the op as end-to-end verifiable.
     """
-    key = repr((
-        tuple(task.shape),
-        str(task.dtype),
-        type(op).__name__,
-        op.op_id,
-        op.region,
-        op.nbytes,
-    ))
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
+    return slice_checksums(task, (op,))[0]
+
+
+def slice_checksums(task: ReshardingTask, ops: Iterable[CommOp]) -> list[str]:
+    """:func:`slice_checksum` of each op, with the task's part built once.
+
+    ``str(dtype)`` is slow and, unlike ``dtype.name``, keeps the byte
+    order (``>f4``), so it is formatted once per call, not once per op.
+    """
+    shape = tuple(task.shape)
+    dtype = str(task.dtype)
+    return [
+        hashlib.sha256(
+            repr((shape, dtype, type(op).__name__, op.op_id, op.region, op.nbytes)).encode()
+        ).hexdigest()[:16]
+        for op in ops
+    ]
 
 
 @dataclass(frozen=True)

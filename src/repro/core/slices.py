@@ -15,6 +15,7 @@ baseline refuses uneven splits and falls back (see
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -101,6 +102,8 @@ class TileGrid:
         self.boundaries: tuple[tuple[int, ...], ...] = tuple(
             split_offsets(size, n) for size, n in zip(self.shape, self.shards)
         )
+        #: tile index -> holding devices, built on first use
+        self._replicas: Optional[dict[tuple[int, ...], tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # Tiles
@@ -146,17 +149,36 @@ class TileGrid:
         return self.tile_region(self.device_tile_index(device_id))
 
     def tile_replicas(self, idx: Sequence[int]) -> tuple[int, ...]:
-        """All devices holding tile ``idx`` (the slice's replica set)."""
+        """All devices holding tile ``idx`` (the slice's replica set).
+
+        Devices are in row-major mesh order.  One pass over the mesh
+        indexes every tile the first time any is asked for.
+        """
+        if self._replicas is None:
+            index: dict[tuple[int, ...], list[int]] = {}
+            for i, row in enumerate(self.mesh.grid):
+                for j, device in enumerate(row):
+                    tile = self.tile_index_of_coords((i, j))
+                    index.setdefault(tile, []).append(device)
+            self._replicas = {k: tuple(v) for k, v in index.items()}
         idx = tuple(idx)
-        out = [
-            self.mesh.device_at(i, j)
-            for i in range(self.mesh.shape[0])
-            for j in range(self.mesh.shape[1])
-            if self.tile_index_of_coords((i, j)) == idx
-        ]
-        if not out:
+        out = self._replicas.get(idx)
+        if out is None:
             raise IndexError(f"no device holds tile {idx}")
-        return tuple(out)
+        return out
+
+    def overlapping_tiles(self, region: Region) -> Iterator[tuple[int, ...]]:
+        """Indices of the tiles ``region`` overlaps, lexicographic.
+
+        Bisects each dimension's boundaries for the tiles the region's
+        interval touches; the product of those ranges is the answer.
+        """
+        return product(
+            *(
+                range(bisect_right(b, lo) - 1, bisect_left(b, hi))
+                for (lo, hi), b in zip(region, self.boundaries)
+            )
+        )
 
     def __repr__(self) -> str:
         return (

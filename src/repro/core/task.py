@@ -169,24 +169,22 @@ class ReshardingTask:
         """Exact src-tile x dst-tile pieces (cached)."""
         if self._intersections is None:
             out: list[IntersectionTransfer] = []
-            dst_tiles = [
-                (didx, self.dst_grid.tile_region(didx), self.dst_grid.tile_replicas(didx))
-                for didx in self.dst_grid.all_tile_indices()
-            ]
+            dst_grid = self.dst_grid
             for sidx in self.src_grid.all_tile_indices():
                 sregion = self.src_grid.tile_region(sidx)
                 senders = self.src_grid.tile_replicas(sidx)
-                for didx, dregion, receivers in dst_tiles:
-                    inter = region_intersection(sregion, dregion)
-                    if inter is None:
-                        continue
+                # Only the dst tiles the src tile overlaps, in the same
+                # lexicographic order a scan of every dst tile keeps.
+                for didx in dst_grid.overlapping_tiles(sregion):
+                    inter = region_intersection(sregion, dst_grid.tile_region(didx))
+                    assert inter is not None
                     out.append(
                         IntersectionTransfer(
                             src_tile=sidx,
                             dst_tile=didx,
                             region=inter,
                             senders=senders,
-                            receivers=receivers,
+                            receivers=dst_grid.tile_replicas(didx),
                             nbytes=region_nbytes(inter, self.dtype),
                         )
                     )

@@ -103,7 +103,7 @@ class IntegrityReport:
 
 def _sender_is_authoritative(plan: CommPlan, sender: int, region: Region) -> bool:
     task = plan.task
-    if sender not in task.src_mesh.devices:
+    if sender not in task.src_mesh:
         return False
     holder = task.src_grid.device_region(sender)
     return region_intersection(holder, region) == region

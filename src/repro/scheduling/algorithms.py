@@ -242,15 +242,28 @@ def randomized_greedy_schedule(
     """
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
+    # Hosts as bits of an int, so a trial's conflict tests are one `&`.
+    all_hosts: set[int] = set()
+    for t in problem.tasks:
+        all_hosts |= t.receiver_hosts
+        all_hosts.update(t.sender_host_options)
+    bit = {h: 1 << i for i, h in enumerate(sorted(all_hosts))}
+
+    def mask(hosts: frozenset[int]) -> int:
+        m = 0
+        for h in hosts:
+            m |= bit[h]
+        return m
+
     # Per task, once: receiver hosts, sender options ranked fastest
     # first (ties to the lower host id) with the host set each occupies,
     # and the device count scored for the round.
-    info: dict[int, tuple[frozenset[int], list[tuple[int, frozenset[int]]], int]] = {}
+    info: dict[int, tuple[int, list[tuple[int, int, int]], int]] = {}
     for t in problem.tasks:
         ranked = sorted(t.sender_host_options, key=lambda x: (t.duration(x), x))
         info[t.task_id] = (
-            t.receiver_hosts,
-            [(h, t.hosts(h)) for h in ranked],
+            mask(t.receiver_hosts),
+            [(h, bit[h], mask(t.hosts(h))) for h in ranked],
             t.n_devices,
         )
     remaining = set(info)
@@ -260,33 +273,33 @@ def randomized_greedy_schedule(
         best_set: list[tuple[int, int]] = []  # (task_id, host)
         best_score = -1
         ids = sorted(remaining)
-        round_hosts: set[int] = set()
+        round_mask = 0
         for tid in ids:
             receivers, ranked, _ = info[tid]
-            round_hosts |= receivers
-            round_hosts.update(h for h, _ in ranked)
-        n_hosts = len(round_hosts)
+            round_mask |= receivers
+            for _, hbit, _ in ranked:
+                round_mask |= hbit
         steps = _shuffle_steps(len(ids))
         for _ in range(n_trials):
             perm = ids[:]
             _shuffle(perm, getrandbits, steps)
-            used_hosts: set[int] = set()
+            used = 0
             chosen: list[tuple[int, int]] = []
             score = 0
             for tid in perm:
                 receivers, ranked, n_devices = info[tid]
-                if not used_hosts.isdisjoint(receivers):
+                if used & receivers:
                     continue
                 # The fastest sender host not yet used this trial.
-                for h, hosts in ranked:
-                    if h not in used_hosts:
+                for h, hbit, hosts in ranked:
+                    if not used & hbit:
                         break
                 else:
                     continue
                 chosen.append((tid, h))
-                used_hosts |= hosts
+                used |= hosts
                 score += n_devices
-                if len(used_hosts) == n_hosts:
+                if used == round_mask:
                     break  # every host is busy: no later task can fit
             if score > best_score:
                 best_score = score

@@ -187,6 +187,11 @@ class Network:
             else TelemetryBus(clock=lambda: self.loop.now)
         )
         self._active: dict[int, Flow] = {}
+        #: (src, dst) -> (ports, startup latency, same host?), resolved
+        #: on a pair's first flow (see :meth:`_route`)
+        self._routes: dict[tuple[int, int], tuple[tuple[str, ...], float, bool]] = {}
+        #: port -> static capacity (NIC rates before any fault factor)
+        self._capacity: dict[str, float] = {}
         #: the max-min fixpoint backend (see :mod:`repro.sim.solver`);
         #: "scalar" | "vector" | "adaptive" (default) or an instance
         self.solver: RateSolver = make_solver(solver)
@@ -228,27 +233,49 @@ class Network:
     # Port model
     # ------------------------------------------------------------------
     def _ports_for(self, src: int, dst: int) -> tuple[str, ...]:
+        """The ports a ``src -> dst`` flow traverses, walked afresh (no memo)."""
+        return self._build_route(src, dst)[0]
+
+    def _build_route(self, src: int, dst: int) -> tuple[tuple[str, ...], float, bool]:
+        """``(ports, startup latency, same host?)``, walked from the cluster."""
         c = self.cluster
-        if c.same_host(src, dst):
-            return (f"ds{src}", f"dr{dst}")
         a, b = c.device(src), c.device(dst)
+        if a.host_id == b.host_id:
+            return (f"ds{src}", f"dr{dst}"), c.spec.intra_host_latency, True
         # Contended fabric ports (switch uplinks, torus edges, override
         # pipes) sit between the two NICs.  The two-tier baseline has
         # none, so its port tuples — and the max-min fixpoint's float
         # arithmetic — are byte-identical to the pre-topology model.
-        mid = c.topo.transit_ports(a.host_id, b.host_id, a.local_id, b.local_id)
-        return (f"ds{src}", f"ns{a.host_id}") + mid + (f"nr{b.host_id}", f"dr{dst}")
+        hosts = (a.host_id, b.host_id, a.local_id, b.local_id)
+        mid = c.topo.transit_ports(*hosts)
+        ports = (f"ds{src}", f"ns{a.host_id}") + mid + (f"nr{b.host_id}", f"dr{dst}")
+        return ports, c.topo.path_latency(*hosts), False
+
+    def _route(self, src: int, dst: int) -> tuple[tuple[str, ...], float, bool]:
+        """:meth:`_build_route`, memoized per device pair.
+
+        Routes are a property of the cluster, so each pair walks the
+        device/host/topology chains once per network.
+        """
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = self._build_route(src, dst)
+        return route
 
     def _port_capacity(self, port: str) -> float:
-        spec = self.cluster.spec
-        if port[0] == "d":
-            return spec.intra_host_bandwidth
-        if port[0] == "n":
-            bw = spec.host_nic_bandwidth(int(port[2:]))
-            if self.faults is not None:
-                bw *= self.faults.nic_factor(int(port[2:]), self.loop.now)
-            return bw
-        return self.cluster.topo.port_capacity(port)
+        bw = self._capacity.get(port)
+        if bw is None:
+            spec = self.cluster.spec
+            if port[0] == "d":
+                bw = spec.intra_host_bandwidth
+            elif port[0] == "n":
+                bw = spec.host_nic_bandwidth(int(port[2:]))
+            else:
+                bw = self.cluster.topo.port_capacity(port)
+            self._capacity[port] = bw
+        if self.faults is not None and port[0] == "n":
+            return bw * self.faults.nic_factor(int(port[2:]), self.loop.now)
+        return bw
 
     def _nic_down_for(self, flow: Flow) -> bool:
         """True if any NIC port the flow traverses is flapped down now."""
@@ -330,24 +357,27 @@ class Network:
             raise ValueError("flow source and destination must differ")
         if nbytes < 0:
             raise ValueError(f"negative flow size: {nbytes}")
-        base = (
-            latency if latency is not None else self.cluster.link_latency(src, dst)
-        )
+        if ports is None or latency is None:
+            route = self._route(src, dst)
+            if ports is None:
+                ports = route[0]
+            if latency is None:
+                latency = route[1]
         flow = Flow(
             flow_id=self._next_id,
             src=src,
             dst=dst,
             nbytes=float(nbytes),
             remaining=float(nbytes),
-            ports=ports if ports is not None else self._ports_for(src, dst),
+            ports=ports,
             on_complete=on_complete,
             tag=tag,
             submit_time=self.loop.now,
             on_abandon=on_abandon,
-            base_latency=base,
+            base_latency=latency,
         )
         self._next_id += 1
-        self.loop.call_after(base + extra_latency, lambda: self._activate(flow))
+        self.loop.call_after(latency + extra_latency, lambda: self._activate(flow))
         return flow
 
     # ------------------------------------------------------------------
@@ -531,7 +561,15 @@ class Network:
                 )
         flow.finish_time = self.loop.now
         flow.remaining = 0.0
-        if self.cluster.same_host(flow.src, flow.dst):
+        # A flow given both its ports and latency (a multicast segment)
+        # may not have resolved a route.
+        route = self._routes.get((flow.src, flow.dst))
+        intra = (
+            route[2]
+            if route is not None
+            else self.cluster.same_host(flow.src, flow.dst)
+        )
+        if intra:
             self.bytes_intra_host += flow.nbytes
             self._c_intra.add(flow.nbytes)
         else:

@@ -10,8 +10,10 @@ filling round*) dominates simulation wall time.
 
 This module makes the solver a first-class, swappable component:
 
-* :class:`ScalarSolver` — the original algorithm, verbatim.  It remains
-  the executable specification: the golden Fig. 5/6/7 numbers pin its
+* :class:`ScalarSolver` — the original progressive-filling arithmetic
+  over a port -> flows incidence kept on flow add/remove, so a filling
+  round touches only the bottleneck port's flows.  It remains the
+  executable specification: the golden Fig. 5/6/7 numbers pin its
   float arithmetic bit-for-bit.
 * :class:`VectorSolver` — a NumPy backend over a flow x port incidence
   structure that is maintained *incrementally* on flow add/remove
@@ -44,8 +46,9 @@ The scalar algorithm's float arithmetic is replicated exactly:
   ufunc — applies one subtraction per index occurrence, reproducing the
   same sequence of rounding steps.
 * **Flow fixing order** inside a round cannot affect rates (every fixed
-  flow gets the same share), so the vector backend is free to fix them
-  in member-array order while the scalar keeps its sorted walk.
+  flow gets the same share), so both backends fix them in member
+  order: the scalar walks its port's incidence dict, the vector its
+  member array.
 
 ``tests/test_solver_equivalence.py`` holds the property-based pin:
 randomized flow/port sets across every topology-zoo fabric must produce
@@ -103,52 +106,89 @@ class RateSolver(Protocol):
 
 
 class ScalarSolver:
-    """The original progressive-filling loop, kept byte-identical.
+    """Progressive filling over an incrementally kept port incidence.
 
-    Stateless between solves: rebuilds ``cap``/``load`` dicts from the
-    active set each time, exactly as the original inline loop did.
-    This is the executable specification the golden tests pin.
+    ``flow_added``/``flow_removed`` keep, per port, the active flows
+    traversing it (``port -> {flow_id: Flow}``) and their incidence
+    count, so a filling round fixes exactly the bottleneck port's
+    members instead of re-sorting and re-testing every unassigned flow.
+    ``cap``/``load`` are still keyed per solve in ``Network._active``
+    order, because that order is the first-seen port tie-break; the
+    counts come from the incidence, so the scan stops once every loaded
+    port has been seen.  Every subtraction in a round uses the same
+    share, so each port's float sequence — and every rate — is the
+    rebuild-per-solve loop's, bit for bit.  This is the executable
+    specification the golden tests pin.
     """
 
     name = "scalar"
 
     def __init__(self) -> None:
         self._net: Optional["Network"] = None
+        #: port -> the active flows traversing it, by flow id
+        self._members: dict[str, dict[int, "Flow"]] = {}
+        #: port -> active (flow, path position) incidences on it
+        self._load: dict[str, int] = {}
 
     def attach(self, network: "Network") -> None:
         self._net = network
 
-    def flow_added(self, flow: "Flow") -> None:  # noqa: ARG002 - interface
-        pass
+    def flow_added(self, flow: "Flow") -> None:
+        members = self._members
+        load = self._load
+        fid = flow.flow_id
+        for p in flow.ports:
+            m = members.get(p)
+            if m is None:
+                members[p] = {fid: flow}
+                load[p] = 1
+            else:
+                m[fid] = flow
+                load[p] += 1
 
-    def flow_removed(self, flow: "Flow") -> None:  # noqa: ARG002 - interface
-        pass
+    def flow_removed(self, flow: "Flow") -> None:
+        members = self._members
+        load = self._load
+        fid = flow.flow_id
+        for p in flow.ports:
+            n = load[p] - 1
+            if n:
+                load[p] = n
+                members[p].pop(fid, None)
+            else:
+                del load[p]
+                del members[p]
 
     def solve(self) -> None:
         net = self._net
         assert net is not None
         active = net._active
-        flows = list(active.values())
-        if not flows:
+        if not active:
             return
-        # Port -> remaining capacity and unassigned flow count.
+        capacity = net._port_capacity
+        counts = self._load
+        n_ports = len(counts)
+        # Port -> remaining capacity and unassigned flow count, keyed in
+        # first-seen order over the active flows (the tie-break); the
+        # scan stops once every loaded port has been seen.  A port
+        # leaves `load` once its count reaches 0.
         cap: dict[str, float] = {}
         load: dict[str, int] = {}
-        for f in flows:
-            f.rate = 0.0
+        for f in active.values():
             for p in f.ports:
-                if p not in cap:
-                    cap[p] = net._port_capacity(p)
-                    load[p] = 0
-                load[p] += 1
-        unassigned = set(active.keys())
-        while unassigned:
+                if p not in load:
+                    cap[p] = capacity(p)
+                    load[p] = counts[p]
+            if len(load) == n_ports:
+                break
+        members = self._members
+        fixed: set[int] = set()
+        inf = float("inf")
+        while load:
             # Most constrained port: minimal fair share among loaded ports.
             best_port = None
-            best_share = float("inf")
+            best_share = inf
             for p, n in load.items():
-                if n <= 0:
-                    continue
                 share = cap[p] / n
                 if share < best_share:
                     best_share = share
@@ -156,20 +196,25 @@ class ScalarSolver:
             if best_port is None:  # pragma: no cover - defensive
                 break
             # Fix that share for every unassigned flow through best_port.
-            # Sorted: the per-port capacity subtractions below are float
-            # ops, so a set-order walk would round differently per run.
-            fixed = [
-                fid for fid in sorted(unassigned) if best_port in active[fid].ports
-            ]
-            for fid in fixed:
-                f = active[fid]
+            # Every subtraction this round is the same share, so the walk
+            # order cannot change any port's float sequence.
+            for fid, f in members[best_port].items():
+                if fid in fixed:
+                    continue
+                fixed.add(fid)
                 f.rate = best_share
-                unassigned.discard(fid)
                 for p in f.ports:
                     cap[p] -= best_share
-                    load[p] -= 1
-            cap[best_port] = 0.0
-            load[best_port] = 0
+                    n = load[p] - 1
+                    if n:
+                        load[p] = n
+                    else:
+                        del load[p]
+        if len(fixed) != len(active):
+            # Flows without ports (or left by the defensive break) get 0.
+            for fid, f in active.items():
+                if fid not in fixed:
+                    f.rate = 0.0
 
 
 class VectorSolver:
@@ -471,6 +516,9 @@ class AdaptiveSolver:
         self._scalar.attach(network)
 
     def flow_added(self, flow: "Flow") -> None:
+        # The scalar's incidence must stay current past the switch: the
+        # active set can fall back below the threshold.
+        self._scalar.flow_added(flow)
         if self._vector is not None:
             self._vector.flow_added(flow)
             return
@@ -486,6 +534,7 @@ class AdaptiveSolver:
             self._vector = vec
 
     def flow_removed(self, flow: "Flow") -> None:
+        self._scalar.flow_removed(flow)
         if self._vector is not None:
             self._vector.flow_removed(flow)
 

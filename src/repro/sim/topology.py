@@ -625,7 +625,11 @@ class BoundTopology:
         self.topology: Topology = (
             spec.topology if spec.topology is not None else TwoTierTopology()
         )
-        self._paths: dict[tuple[int, int, int, int], tuple[Link, ...]] = {}
+        #: key -> (links, contended port names); one entry serves both
+        #: :meth:`links` and :meth:`transit_ports`
+        self._paths: dict[
+            tuple[int, int, int, int], tuple[tuple[Link, ...], tuple[str, ...]]
+        ] = {}
         self._capacity: dict[str, float] = {}
         self._overrides: dict[tuple[int, int], tuple[Optional[float], Optional[float]]] = {}
         for ov in spec.link_overrides:
@@ -638,6 +642,11 @@ class BoundTopology:
         self, src_host: int, dst_host: int, src_local: int = 0, dst_local: int = 0
     ) -> tuple[Link, ...]:
         """The (override-adjusted) link sequence between two host NICs."""
+        return self._path(src_host, dst_host, src_local, dst_local)[0]
+
+    def _path(
+        self, src_host: int, dst_host: int, src_local: int, dst_local: int
+    ) -> tuple[tuple[Link, ...], tuple[str, ...]]:
         key = (src_host, dst_host, src_local, dst_local)
         found = self._paths.get(key)
         if found is not None:
@@ -673,8 +682,8 @@ class BoundTopology:
         for l in links:
             if l.contended:
                 self._capacity.setdefault(l.name, l.bandwidth)
-        self._paths[key] = links
-        return links
+        found = self._paths[key] = (links, tuple(l.name for l in links if l.contended))
+        return found
 
     def transit_ports(
         self, src_host: int, dst_host: int, src_local: int = 0, dst_local: int = 0
@@ -684,12 +693,9 @@ class BoundTopology:
         The two-tier baseline returns ``()`` here, which keeps the flow
         simulator's port tuples — and therefore the max-min fixpoint's
         float arithmetic — byte-identical to the pre-refactor model.
+        Memoized with the path's links.
         """
-        return tuple(
-            l.name
-            for l in self.links(src_host, dst_host, src_local, dst_local)
-            if l.contended
-        )
+        return self._path(src_host, dst_host, src_local, dst_local)[1]
 
     def path_latency(
         self, src_host: int, dst_host: int, src_local: int = 0, dst_local: int = 0

@@ -113,3 +113,11 @@ def test_from_hosts_validation(cluster):
         DeviceMesh.from_hosts(cluster, [0], devices_per_host=5)
     with pytest.raises(ValueError):
         DeviceMesh.from_hosts(cluster, [0], devices_per_host=0)
+
+
+def test_devices_built_once_and_membership(cluster):
+    m = DeviceMesh(cluster, [[5, 1], [9, 3]])
+    assert m.devices == (5, 1, 9, 3)
+    assert m.devices is m.devices  # immutable: not rebuilt per access
+    assert all(d in m for d in m.devices)
+    assert 0 not in m and 4 not in m and -1 not in m

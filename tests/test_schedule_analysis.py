@@ -15,6 +15,7 @@ from repro.analysis import (
     check_stage_orders_deadlock,
     static_peak_inflight,
 )
+from repro.pipeline.interleaved import InterleavedJob, interleaved_order
 from repro.pipeline.memory import analytic_peak_inflight
 from repro.pipeline.schedules import SCHEDULE_NAMES, Task, schedule_job
 from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
@@ -139,6 +140,61 @@ class TestStructure:
         orders = [[T("F", 0), T("Bx", 0), T("Bw", 0)]]
         report = check_stage_orders(orders, 1)
         assert report.ok, "\n".join(d.format() for d in report.diagnostics)
+
+
+# ----------------------------------------------------------------------
+# S001/S002 on chunked (interleaved) orders: checked per job stage
+# ----------------------------------------------------------------------
+def interleaved_orders(p, v, m=None):
+    job = InterleavedJob(p, v, m or 2 * p, 1e-3, 2e-3, 0.0, 0.0)
+    return job, [interleaved_order(job, r) for r in range(p)]
+
+
+class TestChunkedOrders:
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("v", [2, 4])
+    def test_interleaved_orders_are_clean(self, p, v):
+        job, orders = interleaved_orders(p, v)
+        report = check_stage_orders(orders, job.n_microbatches)
+        assert report.ok, "\n".join(d.format() for d in report.diagnostics)
+
+    def test_duplicated_chunk_task_is_flagged(self):
+        job, orders = interleaved_orders(2, 2)
+        dup = orders[1][3]
+        orders[1].insert(4, dup)
+        report = check_stage_orders(orders, job.n_microbatches)
+        msgs = [d.message for d in report.diagnostics if d.code == "S002"]
+        assert f"stage {dup.chunk}: duplicate {dup.kind}{dup.microbatch}" in msgs
+
+    def test_missing_chunk_backward_is_flagged(self):
+        job, orders = interleaved_orders(2, 2)
+        last_b = max(i for i, t in enumerate(orders[0]) if t.kind == "B")
+        gone = orders[0].pop(last_b)
+        report = check_stage_orders(orders, job.n_microbatches)
+        assert any(
+            d.code == "S002" and d.message.startswith(f"stage {gone.chunk}: backwards")
+            for d in report.diagnostics
+        )
+
+    def test_memory_priced_with_the_chunk_stage_profile(self):
+        # Chunk stage c holds (p - rank - 1) * 2 + (v - 1) * p warm-up
+        # forwards at most; only chunk 3's tiny capacity is exceeded.
+        p, v = 2, 2
+        _, orders = interleaved_orders(p, v)
+        stages = [
+            StageProfile(
+                stage_id=c, fwd_time=1.0, bwd_x_time=1.0, bwd_w_time=1.0,
+                params_bytes=100.0, activation_bytes=10.0,
+                memory_capacity=105.0 if c == 3 else 1e9,
+            )
+            for c in range(p * v)
+        ]
+        edges = [CommEdge(c, c + 1, 0.0, 0.0) for c in range(p * v - 1)]
+        job = PipelineJob(stages=stages, edges=edges, n_microbatches=2 * p)
+        report = check_stage_orders(orders, job.n_microbatches, job)
+        s001 = [d for d in report.diagnostics if d.code == "S001"]
+        assert [d.task_ids for d in s001] == [(3,)]
+        assert "S002" not in report.codes
 
 
 # ----------------------------------------------------------------------
