@@ -17,8 +17,8 @@ possible once plans carried a schedule and fallback records:
 * **dependency sanity** (``P003``/``P004``): deps must name real,
   earlier ops and be acyclic;
 * **sender authority** (``P005``): an op's sender must be a source-mesh
-  device holding the region it sends; all-gather groups must be fed by a
-  preceding scatter of the same region;
+  device holding the region it sends; an all-gather's group must hold
+  parts covering its region from the scatters it depends on;
 * **re-rooting consistency** (``P006``): the schedule must assign each
   unit task a host that holds a replica, no emitted op may send from a
   host that :class:`~repro.compiler.passes.FaultRewritePass` re-rooted
@@ -27,7 +27,9 @@ possible once plans carried a schedule and fallback records:
   pick any replica host — greedy sender selection is load-, not
   schedule-, driven);
 * **schedule/plan agreement** (``P007``) and **op well-formedness**
-  (``P008``);
+  (``P008``: duplicate ids, negative sizes, and the malformed ops of
+  :func:`repro.core.plan.op_defect` — wrong region rank, a scatter that
+  cannot split its region, a target outside the cluster);
 * **failure-domain safety** (``F001``/``F003``): when the cluster
   declares :class:`~repro.sim.cluster.FailureDomain` groups, no fallback
   may re-root a sender back into a failure domain of the host it
@@ -43,6 +45,11 @@ possible once plans carried a schedule and fallback records:
   may move data between hosts the topology has no route for (T003) —
   e.g. across disconnected islands.
 
+P002 and P005 read the shared delivery model of :mod:`repro.core.plan`
+(:func:`~repro.core.plan.plan_deliveries`), the one the delivery
+verifier and the NumPy data plane run on, so the three accept the same
+plans.
+
 The deadlock analysis over the same plan (``D001``) lives in
 :mod:`repro.analysis.deadlock` and is folded into :func:`check_plan`'s
 report.
@@ -52,47 +59,26 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..core.plan import (
-    AllGatherOp,
-    BroadcastOp,
     CommOp,
     CommPlan,
-    MulticastOp,
-    ScatterOp,
-    SendOp,
     gating_graph,
+    op_defect,
+    plan_deliveries,
+    tile_cover,
 )
-from ..core.slices import Region, region_intersection, region_shape, region_size
+from ..core.slices import region_intersection, region_size
 from ..core.task import UnitCommTask
 from ..sim.faults import FaultSchedule
 from .deadlock import check_plan_deadlock
 from .diagnostics import AnalysisReport, Severity
 
-__all__ = ["check_plan", "Delivery"]
-
-
-class Delivery:
-    """One region an op places on one receiver (a potential write)."""
-
-    __slots__ = ("op_id", "task_id", "receiver", "region")
-
-    def __init__(self, op_id: int, task_id: int, receiver: int, region: Region):
-        self.op_id = op_id
-        self.task_id = task_id
-        self.receiver = receiver
-        self.region = region
-
-
-def _op_sender(op: CommOp) -> Optional[int]:
-    if isinstance(op, (SendOp, BroadcastOp, MulticastOp, ScatterOp)):
-        return op.sender
-    return None
+__all__ = ["check_plan"]
 
 
 def _check_structure(plan: CommPlan, report: AnalysisReport) -> None:
     rank = len(plan.task.shape)
+    n_devices = plan.task.cluster.n_devices
     seen_ids: set[int] = set()
     for pos, op in enumerate(plan.ops):
         if op.op_id in seen_ids:
@@ -108,13 +94,9 @@ def _check_structure(plan: CommPlan, report: AnalysisReport) -> None:
                 f"op {op.op_id}: negative byte count {op.nbytes}",
                 op_ids=(op.op_id,),
             )
-        if len(op.region) != rank:
-            report.add(
-                "P008",
-                f"op {op.op_id}: region rank {len(op.region)} does not match "
-                f"tensor rank {rank}",
-                op_ids=(op.op_id,),
-            )
+        defect = op_defect(op, rank, n_devices)
+        if defect:
+            report.add("P008", defect, op_ids=(op.op_id,))
 
 
 def _check_deps(plan: CommPlan, report: AnalysisReport) -> None:
@@ -177,130 +159,6 @@ def _check_deps(plan: CommPlan, report: AnalysisReport) -> None:
                 return  # one witness is enough; deeper cycles repeat it
 
 
-def _check_sender_holds(plan: CommPlan, op: CommOp, report: AnalysisReport) -> bool:
-    sender = _op_sender(op)
-    if sender is None:
-        return True
-    task = plan.task
-    if sender not in task.src_mesh:
-        report.add(
-            "P005",
-            f"op {op.op_id}: sender {sender} is not a source-mesh device",
-            op_ids=(op.op_id,),
-        )
-        return False
-    holder = task.src_grid.device_region(sender)
-    if len(op.region) != len(holder):
-        return False  # rank mismatch already reported as P008
-    if region_intersection(holder, op.region) != op.region:
-        report.add(
-            "P005",
-            f"op {op.op_id}: sender {sender} holds {holder}, not {op.region}",
-            op_ids=(op.op_id,),
-        )
-        return False
-    return True
-
-
-def _collect_deliveries(
-    plan: CommPlan, report: AnalysisReport
-) -> tuple[list[Delivery], dict[int, list[Region]]]:
-    """Walk ops in list order; return write records and coverage regions.
-
-    Scatter ops place flat (non-box) parts, so they feed the sender-
-    authority and race analyses via their full region but are excluded
-    from coverage (their matching all-gather delivers the whole region).
-    Mirrors the op semantics in :mod:`repro.core.data`.
-    """
-    task = plan.task
-    dst = set(task.dst_mesh.devices)
-    deliveries: list[Delivery] = []
-    coverage: dict[int, list[Region]] = {d: [] for d in task.dst_mesh.devices}
-    scattered: dict[tuple[int, Region], set[int]] = {}
-
-    for op in plan.ops:
-        ok = _check_sender_holds(plan, op, report)
-        if isinstance(op, SendOp):
-            if op.receiver in dst:
-                deliveries.append(
-                    Delivery(op.op_id, op.unit_task_id, op.receiver, op.region)
-                )
-                if ok:
-                    coverage[op.receiver].append(op.region)
-        elif isinstance(op, (BroadcastOp, MulticastOp)):
-            for r in op.receivers:
-                if r in dst:
-                    deliveries.append(
-                        Delivery(op.op_id, op.unit_task_id, r, op.region)
-                    )
-                    if ok:
-                        coverage[r].append(op.region)
-        elif isinstance(op, ScatterOp):
-            for r in op.receivers:
-                scattered.setdefault((op.op_id, op.region), set()).add(r)
-                if r in dst:
-                    deliveries.append(
-                        Delivery(op.op_id, op.unit_task_id, r, op.region)
-                    )
-        elif isinstance(op, AllGatherOp):
-            feeders = [
-                devs
-                for (dep_id, region), devs in scattered.items()
-                if region == op.region and dep_id in op.deps
-            ]
-            fed: set[int] = set().union(*feeders) if feeders else set()
-            if not feeders or not set(op.devices) <= fed:
-                report.add(
-                    "P005",
-                    f"op {op.op_id}: all-gather group not fully fed by a "
-                    "preceding scatter of the same region",
-                    op_ids=(op.op_id,),
-                )
-            for r in op.devices:
-                if r in dst:
-                    deliveries.append(
-                        Delivery(op.op_id, op.unit_task_id, r, op.region)
-                    )
-                    coverage[r].append(op.region)
-        else:
-            report.add(
-                "P008",
-                f"op {op.op_id}: unknown op type {type(op).__name__}",
-                op_ids=(op.op_id,),
-            )
-    return deliveries, coverage
-
-
-def _check_coverage(
-    plan: CommPlan, coverage: dict[int, list[Region]], report: AnalysisReport
-) -> None:
-    task = plan.task
-    intra = set(task.src_mesh.devices) & set(task.dst_mesh.devices)
-    for dev in task.dst_mesh.devices:
-        want = task.dst_grid.device_region(dev)
-        got = np.zeros(region_shape(want), dtype=bool)
-        regions = list(coverage[dev])
-        if dev in intra:
-            regions.append(task.src_grid.device_region(dev))
-        for region in regions:
-            if len(region) != len(want):
-                continue  # rank mismatch already reported as P008
-            inter = region_intersection(region, want)
-            if inter is None:
-                continue
-            sl = tuple(
-                slice(i0 - w0, i1 - w0) for (i0, i1), (w0, _) in zip(inter, want)
-            )
-            got[sl] = True
-        if not got.all():
-            missing = int(region_size(want) - got.sum())
-            report.add(
-                "P002",
-                f"device {dev}: {missing} of {region_size(want)} elements of "
-                f"tile {want} are never delivered",
-            )
-
-
 class _OrderOracle:
     """Decides whether one op is guaranteed to precede another.
 
@@ -316,7 +174,6 @@ class _OrderOracle:
             op.op_id: tuple(d for d in op.deps if d in known) for op in plan.ops
         }
         self._dep_ancestors: dict[int, frozenset[int]] = {}
-        self._task_of = {op.op_id: op.unit_task_id for op in plan.ops}
         self._task_ancestors: dict[int, frozenset[int]] = {}
         self._task_preds: dict[int, set[int]] = (
             gating_graph(plan).preds if plan.schedule is not None else {}
@@ -339,7 +196,7 @@ class _OrderOracle:
         memo[node] = frozenset(out)
         return memo[node]
 
-    def ordered(self, a: "Delivery", b: "Delivery") -> bool:
+    def ordered(self, a: CommOp, b: CommOp) -> bool:
         """True when the plan guarantees a and b never write concurrently."""
         if a.op_id == b.op_id:
             return True
@@ -347,7 +204,7 @@ class _OrderOracle:
             return True
         if b.op_id in self._ancestors(a.op_id, self._deps_of, self._dep_ancestors):
             return True
-        ta, tb = a.task_id, b.task_id
+        ta, tb = a.unit_task_id, b.unit_task_id
         if ta == tb or ta == -1 or tb == -1 or not self._task_preds:
             return False
         if ta in self._ancestors(tb, self._task_preds, self._task_ancestors):
@@ -357,13 +214,19 @@ class _OrderOracle:
         return False
 
 
-def _check_races(
-    plan: CommPlan, deliveries: list[Delivery], report: AnalysisReport
-) -> None:
+def _check_races(plan: CommPlan, report: AnalysisReport) -> None:
+    """P001: unordered ops writing overlapping regions on one device.
+
+    Every op's targets count, whether or not it delivers: a write the
+    other checks reject still races.
+    """
     oracle = _OrderOracle(plan)
-    by_receiver: dict[int, list[Delivery]] = {}
-    for d in deliveries:
-        by_receiver.setdefault(d.receiver, []).append(d)
+    dst = set(plan.task.dst_mesh.devices)
+    by_receiver: dict[int, list[CommOp]] = {}
+    for op in plan.ops:
+        for r in op.targets:
+            if r in dst:
+                by_receiver.setdefault(r, []).append(op)
     reported: set[tuple[int, int]] = set()
     for recv in sorted(by_receiver):
         writes = by_receiver[recv]
@@ -391,7 +254,7 @@ def _check_races(
                     f"device {recv} with no ordering between them",
                     op_ids=pair,
                     task_ids=tuple(
-                        sorted({t for t in (a.task_id, b.task_id) if t != -1})
+                        sorted({t for t in (a.unit_task_id, b.unit_task_id) if t != -1})
                     ),
                 )
 
@@ -444,7 +307,7 @@ def _check_schedule_consistency(
                 task_ids=(tid,),
             )
             continue
-        sender = _op_sender(op)
+        sender = op.source
         if sender is not None and sender in task.src_mesh:
             host = task.cluster.host_of(sender)
             if host in rerooted_from.get(tid, ()):
@@ -595,19 +458,21 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
     topo_name = topo.topology.name
     switches = {s.name: s for s in topo.switches}
 
-    def host(dev: int) -> Optional[int]:
+    def host(dev: Optional[int]) -> Optional[int]:
         # Out-of-range devices are already reported (P005/P008).
-        if 0 <= dev < cluster.n_devices:
+        if dev is not None and 0 <= dev < cluster.n_devices:
             return cluster.host_of(dev)
         return None
 
     for op in plan.ops:
-        if isinstance(op, MulticastOp):
-            sw = switches.get(op.switch)
+        sender = op.source
+        switch = op.claimed_switch
+        if switch is not None:
+            sw = switches.get(switch)
             if sw is None:
                 report.add(
                     "T001",
-                    f"op {op.op_id}: multicast names switch {op.switch!r}, "
+                    f"op {op.op_id}: multicast names switch {switch!r}, "
                     f"which topology {topo_name!r} does not define "
                     f"(available: {sorted(switches) or 'none'})",
                     op_ids=(op.op_id,),
@@ -615,7 +480,7 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
             else:
                 hosts = {
                     h
-                    for d in (op.sender, *op.receivers)
+                    for d in (sender, *op.targets)
                     if (h := host(d)) is not None
                 }
                 outside = sorted(hosts - set(sw.hosts))
@@ -623,24 +488,17 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
                     report.add(
                         "T002",
                         f"op {op.op_id}: multicast claims switch "
-                        f"{op.switch!r} (hosts {sorted(sw.hosts)}), but "
+                        f"{switch!r} (hosts {sorted(sw.hosts)}), but "
                         f"endpoint host(s) {outside} are outside its span",
                         op_ids=(op.op_id,),
                     )
-        sender = _op_sender(op)
         if sender is not None:
             sh = host(sender)
-            if isinstance(op, SendOp):
-                dsts = (op.receiver,)
-            elif isinstance(op, (BroadcastOp, MulticastOp, ScatterOp)):
-                dsts = op.receivers
-            else:
-                dsts = ()
             if sh is not None:
                 unroutable = sorted(
                     {
                         rh
-                        for d in dsts
+                        for d in op.targets
                         if (rh := host(d)) is not None
                         and rh != sh
                         and not topo.has_route(sh, rh)
@@ -654,9 +512,9 @@ def _check_topology(plan: CommPlan, report: AnalysisReport) -> None:
                         "path between them",
                         op_ids=(op.op_id,),
                     )
-        elif isinstance(op, AllGatherOp):
+        else:
             hosts_ag = sorted(
-                {h for d in op.devices if (h := host(d)) is not None}
+                {h for d in op.targets if (h := host(d)) is not None}
             )
             bad_pairs = [
                 (a, b)
@@ -709,9 +567,20 @@ def check_plan(
     check_plan_memory(plan, report, memory_budget=memory_budget)
 
     if plan.data_complete:
-        deliveries, coverage = _collect_deliveries(plan, report)
-        _check_races(plan, deliveries, report)
-        _check_coverage(plan, coverage, report)
+        # One delivery model for the checker, the delivery verifier and
+        # the data plane (repro.core.plan); malformed ops are P008 above.
+        walk = list(plan_deliveries(plan))
+        for d in walk:
+            if d.code == "P005":
+                report.add("P005", d.defect, op_ids=(d.op.op_id,))
+        _check_races(plan, report)
+        for dev, want, gaps, _duplicates in tile_cover(plan.task, walk):
+            if gaps:
+                report.add(
+                    "P002",
+                    f"device {dev}: {gaps} of {region_size(want)} elements of "
+                    f"tile {want} are never delivered",
+                )
     else:
         report.add(
             "P008",

@@ -14,17 +14,12 @@ simulated_peak`` reduces to the serialization argument alone — the
 formulas cannot drift apart.
 
 Attribution is **receiver-side**: senders read resident tensor shards
-(already accounted as model state), while every receiver needs a
-transient landing buffer until the op's payload is consumed:
-
-* ``SendOp`` — ``nbytes`` on the receiver's host;
-* ``BroadcastOp``/``MulticastOp`` — ``nbytes`` per receiver (ring
-  forwarding and switch fanout both materialize the full slice on every
-  receiver, including same-host siblings);
-* ``ScatterOp`` — ``nbytes / len(receivers)`` per receiver (each part
-  is staged only on the device that owns it);
-* ``AllGatherOp`` — ``nbytes`` per group device (each device assembles
-  the full region from the ring).
+(already accounted as model state), while each target of an op (see
+the op table in :mod:`repro.core.plan`) holds a transient landing
+buffer of ``op.target_nbytes`` until the payload is consumed: the full
+slice on every send, broadcast and multicast receiver (ring forwarding
+and switch fanout materialize it even on same-host siblings) and on
+every all-gather device, one part on each scatter receiver.
 
 This module and :mod:`repro.core.tensor` are the only places raw
 ``itemsize`` byte math is allowed (repro-lint L004).
@@ -34,54 +29,27 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .plan import (
-    AllGatherOp,
-    BroadcastOp,
-    CommOp,
-    MulticastOp,
-    ScatterOp,
-    SendOp,
-)
+from .plan import CommOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.cluster import Cluster
 
-__all__ = ["op_host_buffers", "plan_op_buffers"]
+__all__ = ["op_host_buffers"]
 
 
 def op_host_buffers(cluster: "Cluster", op: CommOp) -> dict[int, float]:
     """Transient buffer bytes ``op`` pins while in flight, per host id.
 
-    Devices outside the cluster are skipped — hand-built fixture plans
-    may reference them, and sender-authority analysis (P005/P008)
-    already reports the defect; attribution stays total either way.
-    Hosts with a zero charge are omitted.
+    Targets outside the cluster are skipped, so attribution stays total
+    on hand-built fixture plans that name them; the plan checker
+    reports them as P008.  Hosts with a zero charge are omitted.
     """
     out: dict[int, float] = {}
-
-    def charge(device: int, nbytes: float) -> None:
-        if 0 <= device < cluster.n_devices:
+    each = op.target_nbytes
+    n_devices = cluster.n_devices
+    for device in op.targets:
+        if 0 <= device < n_devices:
             host = cluster.host_of(device)
-            out[host] = out.get(host, 0.0) + nbytes
-
-    if isinstance(op, SendOp):
-        charge(op.receiver, op.nbytes)
-    elif isinstance(op, (BroadcastOp, MulticastOp)):
-        for r in op.receivers:
-            charge(r, op.nbytes)
-    elif isinstance(op, ScatterOp):
-        if op.receivers:
-            part = op.nbytes / len(op.receivers)
-            for r in op.receivers:
-                charge(r, part)
-    elif isinstance(op, AllGatherOp):
-        for d in op.devices:
-            charge(d, op.nbytes)
+            out[host] = out.get(host, 0.0) + each
     return out
 
-
-def plan_op_buffers(
-    cluster: "Cluster", ops: "list[CommOp] | tuple[CommOp, ...]"
-) -> dict[int, dict[int, float]]:
-    """Per-op host attribution for a whole op list, keyed by op id."""
-    return {op.op_id: op_host_buffers(cluster, op) for op in ops}

@@ -2,8 +2,12 @@
 
 The same plan the timing interpreter simulates is replayed here as
 actual byte movement between device buffers, so tests can assert that a
-strategy's plan reconstructs the destination layout exactly.  Semantics
-per op kind are documented in :mod:`repro.core.plan`.
+strategy's plan reconstructs the destination layout exactly.  What each
+op delivers — endpoints, scatter parts, all-gather feeding, sender
+authority — comes from the delivery walk of :mod:`repro.core.plan`
+(the plan checker's and the delivery verifier's too); this module only
+moves the payloads, and an op the walk credits with nothing raises
+:class:`DataPlaneError`.
 
 Receivers stage pieces as they arrive; at the end each destination
 device assembles its required tile from the staged full-region pieces
@@ -13,18 +17,10 @@ consistency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .plan import AllGatherOp, BroadcastOp, CommPlan, MulticastOp, ScatterOp, SendOp
-from .slices import (
-    Region,
-    region_intersection,
-    region_shape,
-    region_size,
-    split_offsets,
-)
+from .plan import CommPlan, plan_deliveries
+from .slices import Region, region_intersection, region_shape, region_size
 from .tensor import DistributedTensor, read_region
 
 __all__ = ["apply_plan", "DataPlaneError"]
@@ -32,32 +28,6 @@ __all__ = ["apply_plan", "DataPlaneError"]
 
 class DataPlaneError(RuntimeError):
     """A plan failed to move the data it claimed to move."""
-
-
-@dataclass
-class _RegionPiece:
-    region: Region
-    data: np.ndarray  # shaped like the region
-
-
-@dataclass
-class _FlatPiece:
-    region: Region
-    lo: int  # element offsets into the region's row-major flattening
-    hi: int
-    data: np.ndarray  # 1-D
-
-
-def _read_from_source(src: DistributedTensor, device: int, region: Region) -> np.ndarray:
-    if device not in src.shards:
-        raise DataPlaneError(f"sender {device} is not a source-mesh device")
-    tile_region = src.device_region(device)
-    try:
-        return read_region(src.shards[device], tile_region, region)
-    except ValueError as e:
-        raise DataPlaneError(
-            f"sender {device} does not hold region {region}: {e}"
-        ) from e
 
 
 def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
@@ -73,55 +43,33 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
     if src.spec != task.src_spec or src.shape != task.shape:
         raise DataPlaneError("source tensor layout does not match the task")
 
-    region_pieces: dict[int, list[_RegionPiece]] = {}
-    flat_pieces: dict[int, list[_FlatPiece]] = {}
-
-    def stage_region(device: int, region: Region, data: np.ndarray) -> None:
-        region_pieces.setdefault(device, []).append(_RegionPiece(region, data))
-
+    #: (region, data shaped like it) staged on each receiving device
+    region_pieces: dict[int, list[tuple[Region, np.ndarray]]] = {}
+    #: each delivering scatter's flattened region, by op id
+    flat: dict[int, np.ndarray] = {}
     done: set[int] = set()
-    for op in plan.ops:
-        for d in op.deps:
-            if d not in done:
+    for d in plan_deliveries(plan):
+        op = d.op
+        for dep in op.deps:
+            if dep not in done:
                 raise DataPlaneError(
-                    f"op {op.op_id} executed before its dependency {d}"
+                    f"op {op.op_id} executed before its dependency {dep}"
                 )
-        if isinstance(op, SendOp):
-            data = _read_from_source(src, op.sender, op.region)
-            stage_region(op.receiver, op.region, data)
-        elif isinstance(op, (BroadcastOp, MulticastOp)):
-            data = _read_from_source(src, op.sender, op.region)
-            for r in op.receivers:
-                stage_region(r, op.region, data)
-        elif isinstance(op, ScatterOp):
-            data = _read_from_source(src, op.sender, op.region).reshape(-1)
-            offs = split_offsets(region_size(op.region), len(op.receivers))
-            for k, r in enumerate(op.receivers):
-                flat_pieces.setdefault(r, []).append(
-                    _FlatPiece(op.region, offs[k], offs[k + 1], data[offs[k] : offs[k + 1]])
-                )
-        elif isinstance(op, AllGatherOp):
-            # Collect every member's flat parts of this region and check
-            # they cover it entirely, then hand everyone the full region.
-            size = region_size(op.region)
-            full = np.empty(size, dtype=src.dtype)
-            covered = np.zeros(size, dtype=bool)
-            for dev in op.devices:
-                for p in flat_pieces.get(dev, []):
-                    if p.region != op.region:
-                        continue
-                    full[p.lo : p.hi] = p.data
-                    covered[p.lo : p.hi] = True
-            if not covered.all():
-                raise DataPlaneError(
-                    f"all-gather op {op.op_id}: parts cover only "
-                    f"{int(covered.sum())}/{size} elements of {op.region}"
-                )
-            shaped = full.reshape(region_shape(op.region))
-            for dev in op.devices:
-                stage_region(dev, op.region, shaped)
+        if d.defect:
+            raise DataPlaneError(d.defect)
+        sender = op.source
+        if sender is None:
+            # All-gather: assemble the region from the parts that feed it.
+            full = np.empty(region_size(op.region), dtype=src.dtype)
+            for p in d.parts:
+                full[p.lo : p.hi] = flat[p.op_id][p.lo : p.hi]
+            data = full.reshape(region_shape(op.region))
         else:
-            raise DataPlaneError(f"unknown op type {type(op).__name__}")
+            data = read_region(src.shards[sender], src.device_region(sender), op.region)
+            if d.parts:
+                flat[op.op_id] = data.reshape(-1)
+        for r in d.receivers:
+            region_pieces.setdefault(r, []).append((op.region, data))
         done.add(op.op_id)
 
     # ------------------------------------------------------------------
@@ -135,24 +83,21 @@ def apply_plan(plan: CommPlan, src: DistributedTensor) -> DistributedTensor:
         pieces = list(region_pieces.get(dev, []))
         if dev in src.shards:
             # Intra-mesh resharding: the device reuses its local shard.
-            pieces.append(_RegionPiece(src.device_region(dev), src.shards[dev]))
-        for p in pieces:
-            inter = region_intersection(p.region, want)
+            pieces.append((src.device_region(dev), src.shards[dev]))
+        for region, data in pieces:
+            inter = region_intersection(region, want)
             if inter is None:
                 continue
             dst_sl = tuple(
                 slice(i0 - w0, i1 - w0) for (i0, i1), (w0, _) in zip(inter, want)
             )
             src_sl = tuple(
-                slice(i0 - p0, i1 - p0) for (i0, i1), (p0, _) in zip(inter, p.region)
+                slice(i0 - p0, i1 - p0) for (i0, i1), (p0, _) in zip(inter, region)
             )
-            piece = p.data[src_sl]
-            if covered[dst_sl].any() and not np.array_equal(tile[dst_sl], piece):
-                overlap_ok = np.where(covered[dst_sl], tile[dst_sl] == piece, True)
-                if not overlap_ok.all():
-                    raise DataPlaneError(
-                        f"device {dev}: conflicting data for {inter}"
-                    )
+            piece = data[src_sl]
+            seen = covered[dst_sl]
+            if seen.any() and not (tile[dst_sl] == piece)[seen].all():
+                raise DataPlaneError(f"device {dev}: conflicting data for {inter}")
             tile[dst_sl] = piece
             covered[dst_sl] = True
         if not covered.all():

@@ -298,7 +298,7 @@ class PlanRunner:
         self.launched.add(op.op_id)
         self.op_launch[op.op_id] = self.net.loop.now
         self._buffer_charge(op)
-        if isinstance(op, (BroadcastOp, MulticastOp)) and not op.receivers:
+        if not op.targets:
             self.on_op_done(op, _immediate(self.net))
             return
         handle = _launch_op(self.net, op)

@@ -9,9 +9,12 @@ host boundaries; host locality is recovered through the cluster.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..sim.cluster import Cluster
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .slices import TileGrid
 
 __all__ = ["DeviceMesh"]
 
@@ -42,6 +45,8 @@ class DeviceMesh:
         }
         # Meshes are immutable: the flat device tuple is built once.
         self._devices: tuple[int, ...] = tuple(d for row in self.grid for d in row)
+        #: (shape, spec) -> its tile grid on this mesh (TileGrid.of)
+        self.tile_grids: dict[tuple[object, ...], TileGrid] = {}
 
     # ------------------------------------------------------------------
     # Constructors

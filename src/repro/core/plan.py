@@ -1,46 +1,57 @@
-"""Communication-plan IR for cross-mesh resharding.
+"""Communication-plan IR for cross-mesh resharding: the one delivery model.
 
 A strategy compiles a :class:`~repro.core.task.ReshardingTask` into a
 :class:`CommPlan`: a list of communication ops plus (optionally) a unit-
-task schedule.  The plan has two interpreters:
+task schedule.  The timing executor, the NumPy data plane, the plan
+checker, the delivery verifier, buffer attribution and recovery's
+trimming all read what an op delivers from here, not from their own
+rules:
 
-* the **timing interpreter** (:mod:`repro.core.executor`) maps ops onto
-  the flow simulator's primitives and reports simulated latency;
-* the **data interpreter** (:mod:`repro.core.data`) moves real NumPy
-  buffers between simulated devices and verifies every destination
-  device ends up with exactly its required tile.
+===============  ========  ===============  ================  ================
+kind             source    targets          bytes per target  lands per target
+===============  ========  ===============  ================  ================
+``SendOp``       sender    ``(receiver,)``  ``nbytes``        the whole region
+``BroadcastOp``  sender    receivers        ``nbytes``        the whole region
+``MulticastOp``  sender    receivers        ``nbytes``        the whole region
+``ScatterOp``    sender    receivers        ``nbytes / n``    flat part ``k``
+``AllGatherOp``  ``None``  devices          ``nbytes``        the whole region
+===============  ========  ===============  ================  ================
 
-Op kinds:
+``BroadcastOp`` is a ring broadcast in ``n_chunks`` pipeline chunks;
+``MulticastOp`` sends each chunk once up the named ``switch``, which
+replicates it to every receiving host (it must span them all).  The
+rules every interpreter shares:
 
-``SendOp``
-    sender delivers the exact ``region`` to one receiver.
-``BroadcastOp``
-    sender delivers the full ``region`` to every receiver (ring
-    broadcast with ``n_chunks`` pipeline chunks); receivers crop.
-``ScatterOp``
-    region's elements (row-major flattened) are split into
-    ``len(receivers)`` near-equal flat parts; part ``k`` goes to
-    ``receivers[k]``.
-``AllGatherOp``
-    the group devices, each holding flat part ``k`` of ``region``
-    (from a prior ScatterOp, named via ``deps``), exchange parts so all
-    of them hold the full region.
-``MulticastOp``
-    sender delivers the full ``region`` to every receiver via switch
-    replication: one upstream traversal of the named ``switch`` per
-    chunk, replicated downstream to each receiving host concurrently.
-    Requires a topology whose switch spans sender and receivers;
-    receivers crop like BroadcastOp.
+* **Parts:** a scatter splits its region's row-major flattening into
+  ``n`` near-equal parts, in :meth:`ScatterOp.parts` alone.
+* **Authority:** an op with a source delivers only if
+  :meth:`ReshardingTask.holds` says the source holds its whole region.
+* **Feeding:** an all-gather delivers only if the parts its devices got
+  from the delivering same-region scatters in its ``deps`` cover it.
+* **Defects:** :func:`op_defect` names malformed ops (unknown kind,
+  wrong region rank, a scatter that cannot split, a target outside the
+  cluster); they deliver nothing.
+* **Coverage:** receivers crop to their tile, and a device also in the
+  source mesh reuses its local shard; :func:`tile_cover` counts the
+  tile elements that never arrive or arrive more than once.
+
+:func:`plan_deliveries` applies the rules in one walk over ``plan.ops``
+and says why an op delivers nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from functools import reduce
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from ..scheduling.problem import Schedule
-from .slices import Region
+from .slices import Region, region_intersection, region_size, split_offsets
 from .task import ReshardingTask
 
 __all__ = [
@@ -50,6 +61,11 @@ __all__ = [
     "ScatterOp",
     "AllGatherOp",
     "MulticastOp",
+    "ScatterPart",
+    "OpDelivery",
+    "op_defect",
+    "plan_deliveries",
+    "tile_cover",
     "FallbackRecord",
     "CommPlan",
     "GatingGraph",
@@ -128,38 +144,259 @@ class CommOp:
     deps: tuple[int, ...] = ()
     checksum: str = ""
 
+    # The op table of the module docstring; subclasses override.
+    @property
+    def source(self) -> Optional[int]:
+        """The device the payload is read from (``None``: fed by parts)."""
+        return None
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """The devices the op writes to."""
+        return ()
+
+    @property
+    def target_nbytes(self) -> float:
+        """Bytes that land on each target."""
+        return self.nbytes
+
+    @property
+    def claimed_switch(self) -> Optional[str]:
+        """The topology switch a multicast claims; ``None`` otherwise."""
+        return None
+
+    def parts(self) -> tuple["ScatterPart", ...]:
+        """The flat parts the op places; empty for whole-region ops."""
+        return ()
+
+    def without_targets(self, drop: AbstractSet[int]) -> Optional["CommOp"]:
+        """This op minus targets ``drop`` (``None``: none left); ops whose
+        payload is split over the whole group come back unchanged."""
+        return self
+
+
+class ScatterPart(NamedTuple):
+    """Elements ``[lo, hi)`` of scatter ``op_id``'s flattened region."""
+
+    op_id: int
+    receiver: int
+    lo: int
+    hi: int
+
 
 @dataclass(frozen=True)
 class SendOp(CommOp):
     sender: int = -1
     receiver: int = -1
 
+    @property
+    def source(self) -> Optional[int]:
+        return self.sender
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        return (self.receiver,)
+
+    def without_targets(self, drop: AbstractSet[int]) -> Optional[CommOp]:
+        return None if self.receiver in drop else self
+
 
 @dataclass(frozen=True)
-class BroadcastOp(CommOp):
+class _FanOutOp(CommOp):
+    """One sender, many receivers: broadcast, multicast and scatter."""
+
     sender: int = -1
     receivers: tuple[int, ...] = ()
+
+    @property
+    def source(self) -> Optional[int]:
+        return self.sender
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        return self.receivers
+
+    def without_targets(self, drop: AbstractSet[int]) -> Optional[CommOp]:
+        kept = tuple(r for r in self.receivers if r not in drop)
+        if len(kept) == len(self.receivers):
+            return self
+        return dataclasses.replace(self, receivers=kept) if kept else None
+
+
+@dataclass(frozen=True)
+class BroadcastOp(_FanOutOp):
     n_chunks: int = 64
 
 
 @dataclass(frozen=True)
-class ScatterOp(CommOp):
-    sender: int = -1
-    receivers: tuple[int, ...] = ()
+class ScatterOp(_FanOutOp):
+    @property
+    def target_nbytes(self) -> float:
+        return self.nbytes / len(self.receivers) if self.receivers else 0.0
+
+    def parts(self) -> tuple[ScatterPart, ...]:
+        offs = split_offsets(region_size(self.region), len(self.receivers))
+        return tuple(
+            ScatterPart(self.op_id, r, offs[k], offs[k + 1])
+            for k, r in enumerate(self.receivers)
+        )
+
+    def without_targets(self, drop: AbstractSet[int]) -> Optional[CommOp]:
+        return self
 
 
 @dataclass(frozen=True)
 class AllGatherOp(CommOp):
     devices: tuple[int, ...] = ()
 
+    @property
+    def targets(self) -> tuple[int, ...]:
+        return self.devices
+
 
 @dataclass(frozen=True)
-class MulticastOp(CommOp):
-    sender: int = -1
-    receivers: tuple[int, ...] = ()
+class MulticastOp(_FanOutOp):
     #: topology switch carrying the replicated send (must span all hosts)
     switch: str = ""
     n_chunks: int = 16
+
+    @property
+    def claimed_switch(self) -> Optional[str]:
+        return self.switch
+
+
+_KINDS = frozenset({SendOp, BroadcastOp, ScatterOp, AllGatherOp, MulticastOp})
+
+
+def op_defect(op: CommOp, rank: int, n_devices: int) -> str:
+    """Why ``op`` is malformed for a rank-``rank`` tensor (its P008
+    message), or ``""``.  A malformed op delivers nothing."""
+    oid = op.op_id
+    if type(op) not in _KINDS:
+        return f"op {oid}: unknown op type {type(op).__name__}"
+    if len(op.region) != rank:
+        return f"op {oid}: region rank {len(op.region)} does not match tensor rank {rank}"
+    targets = op.targets
+    if isinstance(op, ScatterOp) and not 1 <= len(targets) <= region_size(op.region):
+        return (
+            f"op {oid}: scatter cannot split the {region_size(op.region)} "
+            f"elements of {op.region} into {len(targets)} non-empty parts"
+        )
+    if targets and (min(targets) < 0 or max(targets) >= n_devices):
+        outside = sorted({d for d in targets if not 0 <= d < n_devices})
+        return f"op {oid}: writes to device(s) {outside} outside the cluster of {n_devices} devices"
+    return ""
+
+
+class OpDelivery(NamedTuple):
+    """What one op delivers: ``receivers`` end with its whole region,
+    ``parts`` are the flat parts it places (scatter) or assembles from
+    (all-gather).  A non-empty ``defect`` says why it delivers nothing,
+    under the checker's ``code``: P008 (malformed) or P005 (a sender not
+    holding the region, an all-gather its scatters do not feed)."""
+
+    op: CommOp
+    receivers: tuple[int, ...]
+    parts: tuple[ScatterPart, ...] = ()
+    code: str = ""
+    defect: str = ""
+
+
+def plan_deliveries(
+    plan: "CommPlan", skip: AbstractSet[int] = frozenset()
+) -> Iterator[OpDelivery]:
+    """Walk ``plan.ops`` in list order and say what each op delivers.
+
+    Ops in ``skip`` (lost in an executed run) deliver and feed nothing.
+    """
+    task = plan.task
+    rank, n_devices = len(task.shape), task.cluster.n_devices
+    scattered: dict[int, OpDelivery] = {}
+    for op in plan.ops:
+        if op.op_id in skip:
+            continue
+        defect = op_defect(op, rank, n_devices)
+        sender = op.source
+        if defect:
+            yield OpDelivery(op, (), (), "P008", defect)
+        elif sender is None:
+            group = set(op.targets)
+            feed = tuple(
+                p
+                for d in op.deps
+                if d in scattered and scattered[d].op.region == op.region
+                for p in scattered[d].parts
+                if p.receiver in group
+            )
+            reach = 0  # the fed prefix of the flattened region
+            for p in sorted(feed, key=lambda p: p.lo):
+                if p.lo > reach:
+                    break
+                reach = max(reach, p.hi)
+            if reach >= region_size(op.region):
+                yield OpDelivery(op, op.targets, feed)
+            else:
+                yield OpDelivery(
+                    op, (), feed, "P005",
+                    f"op {op.op_id}: all-gather group not fully fed by a "
+                    "preceding scatter of the same region",
+                )
+        elif not task.holds(sender, op.region):
+            defect = (
+                f"sender {sender} is not a source-mesh device"
+                if sender not in task.src_mesh
+                else f"sender {sender} holds "
+                f"{task.src_grid.device_region(sender)}, not {op.region}"
+            )
+            yield OpDelivery(op, (), (), "P005", f"op {op.op_id}: {defect}")
+        else:
+            parts = op.parts()
+            delivery = OpDelivery(op, () if parts else op.targets, parts)
+            if parts:
+                scattered[op.op_id] = delivery
+            yield delivery
+
+
+def tile_cover(
+    task: ReshardingTask, deliveries: Iterable[OpDelivery]
+) -> Iterator[tuple[int, Region, int, int]]:
+    """``(device, tile, gaps, duplicates)`` per destination device: how
+    many tile elements never arrive and how many arrive more than once.
+
+    Counts the whole regions ``deliveries`` place on the device plus,
+    for a device also in the source mesh, its local shard.  The count
+    is kept per cell of the grid the regions' edges cut the tile into,
+    each cell standing for all its elements, so its cost follows the
+    number of regions, not the size of the tile.
+    """
+    got: dict[int, list[Region]] = {d: [] for d in task.dst_mesh.devices}
+    for delivery in deliveries:
+        for r in delivery.receivers:
+            if r in got:
+                got[r].append(delivery.op.region)
+    for dev, regions in got.items():
+        want = task.dst_grid.device_region(dev)
+        if dev in task.src_mesh:
+            regions.append(task.src_grid.device_region(dev))
+        boxes = [b for r in regions if (b := region_intersection(r, want)) is not None]
+        if boxes == [want]:
+            yield dev, want, 0, 0
+            continue
+        cuts = [
+            sorted({lo, hi, *(b[k][0] for b in boxes), *(b[k][1] for b in boxes)})
+            for k, (lo, hi) in enumerate(want)
+        ]
+        counts = np.zeros([len(c) - 1 for c in cuts], dtype=np.int64)
+        for box in boxes:
+            counts[
+                tuple(
+                    slice(bisect_left(c, lo), bisect_left(c, hi))
+                    for c, (lo, hi) in zip(cuts, box)
+                )
+            ] += 1
+        widths = [[b - a for a, b in zip(c, c[1:])] for c in cuts]
+        cells = np.asarray(reduce(np.multiply.outer, widths))
+        yield dev, want, int(cells[counts == 0].sum()), int(cells[counts > 1].sum())
 
 
 @dataclass

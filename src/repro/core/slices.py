@@ -104,6 +104,21 @@ class TileGrid:
         )
         #: tile index -> holding devices, built on first use
         self._replicas: Optional[dict[tuple[int, ...], tuple[int, ...]]] = None
+        #: device -> its region, filled as devices are asked for
+        self._device_regions: dict[int, Region] = {}
+
+    @classmethod
+    def of(cls, shape: Sequence[int], spec: ShardingSpec, mesh: DeviceMesh) -> "TileGrid":
+        """The grid of ``(shape, spec)`` on ``mesh``, built once per mesh.
+
+        Meshes and grids are immutable, so a task and every tensor laid
+        out alike on the mesh share one grid and its memoized regions.
+        """
+        key = (tuple(int(s) for s in shape), spec)
+        grid = mesh.tile_grids.get(key)
+        if grid is None:
+            grid = mesh.tile_grids[key] = cls(shape, spec, mesh)
+        return grid
 
     # ------------------------------------------------------------------
     # Tiles
@@ -145,8 +160,12 @@ class TileGrid:
         return self.tile_index_of_coords(self.mesh.coords_of(device_id))
 
     def device_region(self, device_id: int) -> Region:
-        """The tensor region device ``device_id`` holds."""
-        return self.tile_region(self.device_tile_index(device_id))
+        """The tensor region device ``device_id`` holds (memoized)."""
+        region = self._device_regions.get(device_id)
+        if region is None:
+            region = self.tile_region(self.device_tile_index(device_id))
+            self._device_regions[device_id] = region
+        return region
 
     def tile_replicas(self, idx: Sequence[int]) -> tuple[int, ...]:
         """All devices holding tile ``idx`` (the slice's replica set).

@@ -88,8 +88,8 @@ class ReshardingTask:
                 "cross-mesh resharding requires disjoint meshes "
                 f"(shared: {set(src_mesh.devices) & set(dst_mesh.devices)})"
             )
-        self.src_grid = TileGrid(self.shape, self.src_spec, src_mesh)
-        self.dst_grid = TileGrid(self.shape, self.dst_spec, dst_mesh)
+        self.src_grid = TileGrid.of(self.shape, self.src_spec, src_mesh)
+        self.dst_grid = TileGrid.of(self.shape, self.dst_spec, dst_mesh)
         self._unit_tasks: dict[str, list[UnitCommTask]] = {}
         self._intersections: Optional[list[IntersectionTransfer]] = None
 
@@ -105,6 +105,20 @@ class ReshardingTask:
         for s in self.shape:
             n *= s
         return nbytes_of(n, self.dtype)
+
+    def holds(self, device: int, region: Region) -> bool:
+        """True when source device ``device`` holds all of ``region``.
+
+        The one sender-authority test.  A device outside the source mesh
+        or a region of another rank holds nothing; it never raises.
+        """
+        if device not in self.src_mesh or len(region) != len(self.shape):
+            return False
+        own = self.src_grid.device_region(device)
+        for (o0, o1), (r0, r1) in zip(own, region):
+            if not o0 <= r0 < r1 <= o1:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Decompositions

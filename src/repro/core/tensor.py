@@ -65,7 +65,7 @@ class DistributedTensor:
         self.mesh = mesh
         self.spec = parse_spec(spec)
         self.shape = tuple(int(s) for s in shape)
-        self.grid = TileGrid(self.shape, self.spec, mesh)
+        self.grid = TileGrid.of(self.shape, self.spec, mesh)
         self.dtype = np.dtype(dtype) if dtype is not None else None
         self.shards: dict[int, np.ndarray] = {}
         missing = set(mesh.devices) - set(shards)
@@ -97,7 +97,7 @@ class DistributedTensor:
         """Shard a global array over the mesh per the spec."""
         array = np.asarray(array)
         spec = parse_spec(spec)
-        grid = TileGrid(array.shape, spec, mesh)
+        grid = TileGrid.of(array.shape, spec, mesh)
         shards = {
             d: array[_region_slices(grid.device_region(d))].copy()
             for d in mesh.devices

@@ -8,10 +8,13 @@ abandoned after retries, which were blocked behind wedged host queues),
 it symbolically tracks which source slices each destination device
 *actually received* and fails loudly on any gap or overlap.
 
-Because every sender is checked against the source tile grid (a replica
-must genuinely hold the region it claims to send), two deliveries of
-the same element are value-identical by construction whenever both
-senders are authoritative — so "overlap" here means *duplicated
+It runs the plan checker's delivery walk
+(:func:`repro.core.plan.plan_deliveries`) minus the ops the run lost:
+the same sender-authority test, scatter parts, all-gather feeding and
+per-element tile count.  A malformed op, an unauthorized sender or an
+unfed all-gather is *discredited* (credited with nothing), never raised
+on.  As every credited sender holds what it sends, two deliveries of one
+element are value-identical, so "overlap" here means *duplicated
 delivery*, which the strict mode (used by the recovery runtime to
 certify restored state) treats as an error just like a gap: a correct
 recovery reshard delivers every element of every destination tile
@@ -43,10 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .plan import AllGatherOp, BroadcastOp, CommPlan, MulticastOp, ScatterOp, SendOp
-from .slices import Region, region_intersection, region_shape, region_size, split_offsets
+from .plan import CommPlan, plan_deliveries, tile_cover
 
 __all__ = ["IntegrityError", "IntegrityReport", "verify_delivery"]
 
@@ -101,14 +101,6 @@ class IntegrityReport:
         )
 
 
-def _sender_is_authoritative(plan: CommPlan, sender: int, region: Region) -> bool:
-    task = plan.task
-    if sender not in task.src_mesh:
-        return False
-    holder = task.src_grid.device_region(sender)
-    return region_intersection(holder, region) == region
-
-
 def verify_delivery(
     plan: CommPlan,
     timing=None,
@@ -121,9 +113,9 @@ def verify_delivery(
     running the plan; ops listed in its ``failed_ops`` (abandoned
     transfers, or tasks blocked behind wedged host queues) are credited
     with **no** delivery — a partially received broadcast is unusable.
-    With ``timing=None`` the plan is assumed fully executed (the purely
-    static check, equivalent in strength to ``verify_plan_coverage``
-    plus duplicate detection).
+    With ``timing=None`` the plan is assumed fully executed: the static
+    check, on the same delivery walk as the plan checker's P002/P005,
+    plus duplicate detection.
 
     ``strict`` also fails duplicated deliveries (exact-once cover, the
     bar the recovery runtime certifies restored state against); with
@@ -141,85 +133,18 @@ def verify_delivery(
     failed: frozenset[int] = frozenset(
         (timing.failed_ops if timing is not None else ())
     ) | frozenset(corrupted)
-    # Elements delivered per destination device, as (region, count).
-    delivered: dict[int, list[Region]] = {d: [] for d in task.dst_mesh.devices}
-    # Flat scatter parts per (device, region): list of (lo, hi).
-    flat: dict[tuple[int, Region], list[tuple[int, int]]] = {}
-    discredited: list[int] = []
-
-    for op in plan.ops:
-        if op.op_id in failed:
-            continue
-        if isinstance(op, SendOp):
-            if not _sender_is_authoritative(plan, op.sender, op.region):
-                discredited.append(op.op_id)
-                continue
-            if op.receiver in delivered:
-                delivered[op.receiver].append(op.region)
-        elif isinstance(op, (BroadcastOp, MulticastOp)):
-            if not _sender_is_authoritative(plan, op.sender, op.region):
-                discredited.append(op.op_id)
-                continue
-            for r in op.receivers:
-                if r in delivered:
-                    delivered[r].append(op.region)
-        elif isinstance(op, ScatterOp):
-            if not _sender_is_authoritative(plan, op.sender, op.region):
-                discredited.append(op.op_id)
-                continue
-            offs = split_offsets(region_size(op.region), len(op.receivers))
-            for k, r in enumerate(op.receivers):
-                flat.setdefault((r, op.region), []).append((offs[k], offs[k + 1]))
-        elif isinstance(op, AllGatherOp):
-            # The group can reconstruct the region only if the parts its
-            # members actually hold cover the flattened region entirely.
-            size = region_size(op.region)
-            covered = np.zeros(size, dtype=bool)
-            for dev in op.devices:
-                for lo, hi in flat.get((dev, op.region), ()):
-                    covered[lo:hi] = True
-            if not covered.all():
-                discredited.append(op.op_id)
-                continue
-            for dev in op.devices:
-                if dev in delivered:
-                    delivered[dev].append(op.region)
-        else:
-            raise IntegrityError(f"unknown op type {type(op).__name__}")
-
-    # Count per-element arrivals on each destination tile.
-    gaps: dict[int, int] = {}
-    duplicates: dict[int, int] = {}
-    intra = set(task.src_mesh.devices) & set(task.dst_mesh.devices)
-    for dev in task.dst_mesh.devices:
-        want = task.dst_grid.device_region(dev)
-        counts = np.zeros(region_shape(want), dtype=np.int32)
-        regions = list(delivered[dev])
-        if dev in intra:
-            # Intra-mesh plans: the device reuses its local source shard.
-            regions.append(task.src_grid.device_region(dev))
-        for region in regions:
-            inter = region_intersection(region, want)
-            if inter is None:
-                continue
-            sl = tuple(
-                slice(i0 - w0, i1 - w0) for (i0, i1), (w0, _) in zip(inter, want)
-            )
-            counts[sl] += 1
-        n_missing = int((counts == 0).sum())
-        n_dup = int((counts > 1).sum())
-        if n_missing:
-            gaps[dev] = n_missing
-        if n_dup:
-            duplicates[dev] = n_dup
+    walk = list(plan_deliveries(plan, skip=failed))
+    cover = list(tile_cover(task, walk))
+    gaps = {dev: n for dev, _tile, n, _dup in cover if n}
+    duplicates = {dev: n for dev, _tile, _gap, n in cover if n}
 
     report = IntegrityReport(
         n_ops=len(plan.ops),
         n_ops_failed=len(failed),
-        n_devices=len(delivered),
+        n_devices=len(task.dst_mesh.devices),
         gaps=gaps,
         duplicates=duplicates,
-        discredited_ops=tuple(discredited),
+        discredited_ops=tuple(d.op.op_id for d in walk if d.defect),
         n_fallbacks=len(plan.fallbacks),
         n_retried_flows=(
             sum(1 for r in timing.network.trace if r.status == "retried")

@@ -33,8 +33,7 @@ from ..compiler import CompileContext, compile_resharding
 from ..core.data import apply_plan
 from ..core.executor import TimingResult, simulate_plan
 from ..core.mesh import DeviceMesh
-from ..core.plan import BroadcastOp, CommPlan, MulticastOp, SendOp
-from ..core.slices import region_intersection
+from ..core.plan import CommPlan
 from ..core.task import ReshardingTask
 from ..core.tensor import DistributedTensor
 from ..core.verify_data import IntegrityError, IntegrityReport, verify_delivery
@@ -177,53 +176,30 @@ def _trim_local_deliveries(plan: CommPlan) -> CommPlan:
     every destination tile over the network, while the data plane also
     reuses the local source shard.  That redundancy would (correctly)
     fail exact-once certification, so recovery plans are trimmed first:
-    a receiver whose own source shard fully contains an op's region is
-    removed from it.  Only Send/Broadcast ops are trimmed; composite
-    collectives (scatter + all-gather) are left intact, so with the
-    all-gather strategy an overlapping reshard may still fail strict
-    verification — the broadcast-family strategies are the supported
-    recovery path.
+    a receiver whose own source shard fully contains an op's region
+    (:meth:`ReshardingTask.holds`) is removed from it
+    (:meth:`CommOp.without_targets`).  Composite collectives (scatter +
+    all-gather) are left intact, so with the all-gather strategy an
+    overlapping reshard may still fail strict verification — the
+    broadcast-family strategies are the supported recovery path.
     """
     task = plan.task
-    holders = set(task.src_mesh.devices) & set(task.dst_mesh.devices)
-    if not holders:
-        return plan
-
-    def holds(device: int, region) -> bool:
-        if device not in holders:
-            return False
-        own = task.src_grid.device_region(device)
-        return region_intersection(own, region) == region
-
     kept: list = []
     dropped: set[int] = set()
     changed = False
     for op in plan.ops:
-        if isinstance(op, SendOp) and holds(op.receiver, op.region):
-            dropped.add(op.op_id)
-            changed = True
-            continue
-        if isinstance(op, (BroadcastOp, MulticastOp)):
-            recv = tuple(r for r in op.receivers if not holds(r, op.region))
-            if not recv:
-                dropped.add(op.op_id)
-                changed = True
-                continue
-            if len(recv) != len(op.receivers):
-                op = dataclasses.replace(op, receivers=recv)
-                changed = True
-        kept.append(op)
-    if not changed:
-        return plan
-    ops = [
-        dataclasses.replace(
-            op, deps=tuple(d for d in op.deps if d not in dropped)
+        trimmed = op.without_targets(
+            {r for r in op.targets if task.holds(r, op.region)}
         )
-        if any(d in dropped for d in op.deps)
-        else op
-        for op in kept
-    ]
-    return dataclasses.replace(plan, ops=ops)
+        changed |= trimmed is not op
+        if trimmed is None:
+            dropped.add(op.op_id)
+            continue
+        if dropped.intersection(trimmed.deps):  # deps precede their op
+            deps = tuple(d for d in trimmed.deps if d not in dropped)
+            trimmed = dataclasses.replace(trimmed, deps=deps)
+        kept.append(trimmed)
+    return dataclasses.replace(plan, ops=kept) if changed else plan
 
 
 def replan(

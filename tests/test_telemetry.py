@@ -169,22 +169,53 @@ def test_chrome_trace_groups_tracks_by_prefix():
 
 
 # ----------------------------------------------------------------------
-# Parity: bus-derived Chrome trace == legacy FlowRecord-derived trace
+# Chrome traces of real runs through the one exporter
 # ----------------------------------------------------------------------
-def test_fig6_flow_trace_parity():
-    """On a fixed Fig. 6 (Table 2) case the trace built straight from
-    the telemetry spans must equal the one built from the derived
-    FlowRecord view — same events, same order."""
-    from repro.core.api import reshard
-    from repro.experiments.common import make_microbench_meshes
-    from repro.experiments.fig6 import TABLE2_CASES
-    from repro.viz import bus_flow_trace_events, flow_trace_events
+def _pipeline_result():
+    from repro.pipeline.executor import simulate_pipeline
+    from repro.pipeline.schedules import schedule_job
+    from repro.pipeline.stage import CommEdge, PipelineJob, StageProfile
 
-    case = TABLE2_CASES[2]  # case3: RS0R -> S0RR on (2,4) meshes
-    cluster, src, dst = make_microbench_meshes(case.send_mesh, case.recv_mesh)
-    r = reshard((256, 256, 64), src, case.send_spec, dst, case.recv_spec,
-                strategy="broadcast", cache=None)
-    legacy = flow_trace_events(r.timing.network.trace, cluster)
-    from_bus = bus_flow_trace_events(r.timing.telemetry, cluster)
-    assert from_bus == legacy
-    assert any(e.get("ph") == "X" for e in legacy)
+    stages = [StageProfile(s, 1.0, 1.0, 1.0) for s in range(2)]
+    edges = [CommEdge(0, 1, 0.3, 0.3, label="act")]
+    job = PipelineJob(stages, edges, n_microbatches=3)
+    return simulate_pipeline(job, schedule_job("1f1b", 2, 3), overlap=True)
+
+
+def test_pipeline_chrome_trace_events():
+    events = chrome_trace_events(_pipeline_result().telemetry)
+    compute = [e for e in events if e.get("cat") == "compute"]
+    comm = [e for e in events if e.get("cat") == "comm"]
+    assert len(compute) == 12  # 3 mb x (F + B) x 2 stages
+    assert len(comm) == 6  # 3 mb x 2 directions
+    for e in compute + comm:
+        assert e["ph"] == "X"
+        assert e["dur"] > 0
+        assert e["ts"] >= 0
+
+
+def test_flow_chrome_trace_events():
+    from repro.core.api import reshard
+    from repro.core.mesh import DeviceMesh
+    from repro.sim.cluster import Cluster, ClusterSpec
+
+    c = Cluster(ClusterSpec(n_hosts=4, devices_per_host=4))
+    src = DeviceMesh.from_hosts(c, [0, 1])
+    dst = DeviceMesh.from_hosts(c, [2, 3])
+    r = reshard((64, 64, 8), src, "S0RR", dst, "RS1R", strategy="broadcast")
+    events = chrome_trace_events(r.timing.telemetry)
+    flows = [e for e in events if e["ph"] == "X" and e["cat"] == "flow"]
+    assert len(flows) == len(r.timing.network.trace)
+
+
+def test_write_chrome_trace_file_roundtrip(tmp_path):
+    import json
+
+    from repro.runtime.trace import write_chrome_trace_file
+
+    events = chrome_trace_events(_pipeline_result().telemetry)
+    path = tmp_path / "trace.json"
+    write_chrome_trace_file(events, str(path))
+    data = json.loads(path.read_text())
+    assert data["displayTimeUnit"] == "ms"
+    assert data["traceEvents"] == events

@@ -110,6 +110,63 @@ def test_unauthoritative_sender_discredited(cluster4x4):
     assert report.gaps
 
 
+@pytest.mark.parametrize("malformed", ["no_parts", "too_many_parts", "rank"])
+def test_malformed_op_discredited_not_raised(cluster4x4, malformed):
+    """A scatter that cannot split its region, or a region of the wrong
+    rank, delivers nothing: the verifier discredits it and the data
+    plane raises its documented error (never a bare ValueError)."""
+    from repro.core.data import DataPlaneError
+    from repro.core.plan import ScatterOp
+
+    task = make_task(cluster4x4)
+    plan = BroadcastStrategy().plan(task)
+    op0 = plan.ops[0]
+    if malformed == "rank":
+        bad = dataclasses.replace(op0, region=op0.region[:1])
+    else:
+        one = tuple((lo, lo + 1) for lo, _ in op0.region)
+        bad = ScatterOp(
+            op_id=op0.op_id, unit_task_id=op0.unit_task_id,
+            region=one if malformed == "too_many_parts" else op0.region,
+            nbytes=op0.nbytes, sender=op0.sender,
+            receivers=op0.receivers[:2] if malformed == "too_many_parts" else (),
+        )
+    forged = dataclasses.replace(plan, ops=[bad] + plan.ops[1:])
+    report = verify_delivery(forged, raise_on_error=False)
+    assert report.discredited_ops == (op0.op_id,)
+    assert report.gaps
+    arr = np.arange(64 * 64, dtype=np.float32).reshape(64, 64)
+    src = DistributedTensor.from_global(task.src_mesh, task.src_spec, arr)
+    with pytest.raises(DataPlaneError, match=f"op {op0.op_id}: "):
+        apply_plan(forged, src)
+
+
+@pytest.mark.parametrize("cut", ["no_deps", "short_group"])
+def test_allgather_fed_only_by_its_dep_scatters(cluster4x4, cut):
+    """An all-gather assembles its region from the parts its devices got
+    from the scatters it depends on: cut that dependency, or drop a part
+    holder from its group, and the checker (P005), the verifier and the
+    data plane all refuse it, even though the scatter still runs."""
+    from repro.analysis import check_plan
+    from repro.core.data import DataPlaneError
+
+    task = make_task(cluster4x4, src_spec="RR", dst_spec="RR")
+    plan = STRATEGIES["allgather"]().plan(task)
+    k, gather = next((i, op) for i, op in enumerate(plan.ops) if op.source is None)
+    changed = (
+        dataclasses.replace(gather, deps=())
+        if cut == "no_deps"
+        else dataclasses.replace(gather, devices=gather.devices[1:])
+    )
+    cut = dataclasses.replace(plan, ops=plan.ops[:k] + [changed] + plan.ops[k + 1:])
+    assert "P005" in {d.code for d in check_plan(cut).errors}
+    assert gather.op_id in verify_delivery(cut, raise_on_error=False).discredited_ops
+    arr = np.arange(64 * 64, dtype=np.float32).reshape(64, 64)
+    src = DistributedTensor.from_global(task.src_mesh, task.src_spec, arr)
+    with pytest.raises(DataPlaneError, match="all-gather group not fully fed"):
+        apply_plan(cut, src)
+
+
 # ----------------------------------------------------------------------
 # retries under drops still certify
 # ----------------------------------------------------------------------
